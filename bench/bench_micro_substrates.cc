@@ -72,7 +72,6 @@
 #include "sim/service.h"
 #include "sim/watchdog.h"
 #include "gen/synthetic.h"
-#include "geo/grid_index.h"
 #include "graph/dag.h"
 #include "matching/hopcroft_karp.h"
 #include "matching/hungarian.h"
@@ -120,25 +119,6 @@ void BM_HopcroftKarp(benchmark::State& state) {
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_HopcroftKarp)->RangeMultiplier(4)->Range(64, 4096)->Complexity();
-
-void BM_GridIndexQuery(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  util::Rng rng(13);
-  std::vector<geo::Point> points(static_cast<size_t>(n));
-  for (auto& p : points) {
-    p = {rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)};
-  }
-  geo::GridIndex index(points);
-  std::vector<int32_t> hits;
-  for (auto _ : state) {
-    hits.clear();
-    index.QueryRadius({rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)},
-                      0.05, &hits);
-    benchmark::DoNotOptimize(hits.size());
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_GridIndexQuery)->RangeMultiplier(8)->Range(1000, 64000);
 
 void BM_DagClosure(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,8 +1,9 @@
 #include "core/batch.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
-#include "geo/grid_index.h"
 #include "util/flight_recorder.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -19,73 +20,159 @@ namespace {
 // pool.
 constexpr int64_t kWorkerGrain = 64;
 
-// Path selection for candidate generation, replacing the historical
-// hard-coded `open_tasks.size() >= 64` grid cutoff. Both index structures
-// bottom out in CanServe probes, so we compare probe counts directly:
-//   * skill inverted index — probes exactly sum_w sum_{s in WS_w} count[s]
-//     (count[s] = open tasks requiring skill s), computable up front in
-//     O(m + sum |WS_w|);
-//   * grid — ~2 probes per open task to build, plus for each worker the
-//     open tasks inside its reach circle, estimated as m * min(1,
-//     pi*r_w^2 / bbox_area).
-// Measured on both paper families (400-800 workers, 8-1024 open tasks,
-// 3000 reps each; see PR notes): the skill index wins everywhere the
-// workloads' skill selectivity beats their spatial selectivity — Table V
-// synthetic (|WS_w| <= 15 of 1500 skills, reach covering most of the area):
-// grid 95-3800us vs skill 19-425us per build; Meetup (<= 6 of 500 tags,
-// tight 0.03 reach in a 0.44x0.40 box): grid 36-4100us vs skill 17-900us.
-// A fixed task-count cutoff cannot capture that trade-off; the probe-count
-// comparison picks the grid exactly when workers are broadly skilled but
-// spatially confined, and costs O(n + m) per batch.
-struct CandidatePathChoice {
-  bool use_grid = false;
-  double grid_probes = 0.0;   // estimate; 0 when the grid was ruled out early
-  double skill_probes = 0.0;  // exact probe count for the skill index
+// Cells per axis are capped so row-major cell keys stay far inside int64
+// when the reach is tiny or zero relative to the task spread.
+constexpr double kMaxCellsPerAxis = 1 << 20;
+
+// One axis of the cell grid: cells of `size` starting at `lo`, clamped to
+// [0, count). Cell() is monotone in its argument, so the cells of a reach
+// interval's two ends bound every task cell inside the interval.
+struct CellAxis {
+  double lo = 0.0;
+  double hi = 0.0;  // largest task coordinate on this axis
+  double size = 1.0;
+  int64_t count = 1;
+
+  int64_t Cell(double v) const {
+    const double c = (v - lo) / size;
+    if (!(c >= 1.0)) return 0;  // also catches NaN
+    if (c >= static_cast<double>(count)) return count - 1;
+    return static_cast<int64_t>(c);
+  }
 };
 
-CandidatePathChoice ChooseCandidatePath(const BatchProblem& problem) {
-  CandidatePathChoice choice;
-  if (problem.params.distance_kind != geo::DistanceKind::kEuclidean) {
-    return choice;  // the grid prunes by Euclidean radius only
-  }
-  const Instance& instance = *problem.instance;
-  const double m = static_cast<double>(problem.open_tasks.size());
-  if (problem.open_tasks.empty() || problem.workers.empty()) return choice;
+// Candidate index over one batch's open tasks: tasks bucketed by required
+// skill (CSR over num_skills), and within a skill sorted by (row-major cell
+// key, rank in open_tasks). A worker's query visits, for each of its skills
+// and each cell row its reach box overlaps, the contiguous key run of that
+// row's overlapped columns. The cell size is the largest remaining_distance
+// among the batch's workers, so a reach box overlaps at most 3x3 cells and
+// the index needs no density estimate. Non-Euclidean kinds use one cell:
+// the query is then a plain skill inverted-index scan.
+class CandidateIndex {
+ public:
+  explicit CandidateIndex(const BatchProblem& problem) {
+    const Instance& instance = *problem.instance;
+    const size_t m = problem.open_tasks.size();
+    if (problem.params.distance_kind == geo::DistanceKind::kEuclidean &&
+        m > 0) {
+      SizeGrid(problem);
+    }
 
-  std::vector<int32_t> count(static_cast<size_t>(instance.num_skills()), 0);
-  double min_x = 0.0, min_y = 0.0, max_x = 0.0, max_y = 0.0;
-  bool first = true;
-  for (TaskId t : problem.open_tasks) {
-    const Task& task = instance.task(t);
-    ++count[static_cast<size_t>(task.required_skill)];
-    if (first) {
-      min_x = max_x = task.location.x;
-      min_y = max_y = task.location.y;
-      first = false;
-    } else {
-      min_x = std::min(min_x, task.location.x);
-      max_x = std::max(max_x, task.location.x);
-      min_y = std::min(min_y, task.location.y);
-      max_y = std::max(max_y, task.location.y);
+    skill_begin_.assign(static_cast<size_t>(instance.num_skills()) + 1, 0);
+    for (TaskId t : problem.open_tasks) {
+      ++skill_begin_[static_cast<size_t>(instance.task(t).required_skill) +
+                     1];
+    }
+    for (size_t s = 1; s < skill_begin_.size(); ++s) {
+      skill_begin_[s] += skill_begin_[s - 1];
+    }
+    // Counting sort by skill keeps ranks ascending within each skill; the
+    // per-skill sort then orders by cell, ties by rank.
+    entries_.resize(m);
+    std::vector<int32_t> cursor(skill_begin_.begin(), skill_begin_.end() - 1);
+    for (size_t r = 0; r < m; ++r) {
+      const Task& task = instance.task(problem.open_tasks[r]);
+      const int64_t key = cols_.count * rows_.Cell(task.location.y) +
+                          cols_.Cell(task.location.x);
+      entries_[static_cast<size_t>(
+          cursor[static_cast<size_t>(task.required_skill)]++)] = {
+          key, static_cast<int32_t>(r)};
+    }
+    for (size_t s = 0; s + 1 < skill_begin_.size(); ++s) {
+      std::sort(entries_.begin() + skill_begin_[s],
+                entries_.begin() + skill_begin_[s + 1]);
     }
   }
-  const double area =
-      std::max((max_x - min_x) * (max_y - min_y), 1e-12);
 
-  double skill_probes = 0.0;
-  double grid_probes = 2.0 * m;  // index build: counting + CSR fill passes
-  for (const WorkerState& state : problem.workers) {
-    for (SkillId s : instance.worker(state.id).skills) {
-      skill_probes += count[static_cast<size_t>(s)];
-    }
+  double num_cells() const {
+    return static_cast<double>(cols_.count) * static_cast<double>(rows_.count);
+  }
+
+  // Appends to `ranks`, in ascending order, the open_tasks ranks of every
+  // task `state` can serve; `probes` counts the CanServe calls made.
+  void Query(const BatchProblem& problem, const WorkerState& state,
+             std::vector<int32_t>* ranks, int64_t* probes) const {
+    const Instance& instance = *problem.instance;
+    int64_t col_lo = 0, col_hi = cols_.count - 1;
+    int64_t row_lo = 0, row_hi = rows_.count - 1;
     const double r = state.remaining_distance;
-    grid_probes += m * std::min(1.0, 3.141592653589793 * r * r / area);
+    // With one cell (or an unbounded reach) the whole skill bucket is in range.
+    if (num_cells() > 1.0 && std::isfinite(r)) {
+      // CanServe's Euclidean distance is never below |dx| or |dy|, so the
+      // reach box holds every servable task; the pad absorbs the rounding
+      // of the box's end points.
+      const geo::Point& p = state.location;
+      const double reach =
+          r + 1e-9 * (1.0 + std::fabs(p.x) + std::fabs(p.y) + std::fabs(r));
+      if (p.x + reach < cols_.lo || p.x - reach > cols_.hi ||
+          p.y + reach < rows_.lo || p.y - reach > rows_.hi) {
+        return;  // the box misses every open task
+      }
+      col_lo = cols_.Cell(p.x - reach);
+      col_hi = cols_.Cell(p.x + reach);
+      row_lo = rows_.Cell(p.y - reach);
+      row_hi = rows_.Cell(p.y + reach);
+    }
+    const size_t first_hit = ranks->size();
+    for (SkillId s : instance.worker(state.id).skills) {
+      const auto begin =
+          entries_.begin() + skill_begin_[static_cast<size_t>(s)];
+      const auto end =
+          entries_.begin() + skill_begin_[static_cast<size_t>(s) + 1];
+      for (int64_t row = row_lo; row <= row_hi && begin != end; ++row) {
+        const int64_t last_key = row * cols_.count + col_hi;
+        auto it = std::lower_bound(
+            begin, end, Entry{row * cols_.count + col_lo, 0});
+        for (; it != end && it->first <= last_key; ++it) {
+          ++*probes;
+          if (CanServe(instance, state,
+                       problem.open_tasks[static_cast<size_t>(it->second)],
+                       problem.now, problem.params)) {
+            ranks->push_back(it->second);
+          }
+        }
+      }
+    }
+    std::sort(ranks->begin() + static_cast<std::ptrdiff_t>(first_hit),
+              ranks->end());
   }
-  choice.grid_probes = grid_probes;
-  choice.skill_probes = skill_probes;
-  choice.use_grid = grid_probes < skill_probes;
-  return choice;
-}
+
+ private:
+  // (cell key, rank in open_tasks); ordered lexicographically.
+  using Entry = std::pair<int64_t, int32_t>;
+
+  void SizeGrid(const BatchProblem& problem) {
+    const Instance& instance = *problem.instance;
+    const geo::Point& first =
+        instance.task(problem.open_tasks.front()).location;
+    cols_.lo = cols_.hi = first.x;
+    rows_.lo = rows_.hi = first.y;
+    for (TaskId t : problem.open_tasks) {
+      const geo::Point& p = instance.task(t).location;
+      cols_.lo = std::min(cols_.lo, p.x);
+      cols_.hi = std::max(cols_.hi, p.x);
+      rows_.lo = std::min(rows_.lo, p.y);
+      rows_.hi = std::max(rows_.hi, p.y);
+    }
+    double size = 0.0;
+    for (const WorkerState& state : problem.workers) {
+      if (state.remaining_distance > size) size = state.remaining_distance;
+    }
+    const double width = cols_.hi - cols_.lo;
+    const double height = rows_.hi - rows_.lo;
+    size = std::max(size, std::max(width, height) / kMaxCellsPerAxis);
+    if (!(size > 0.0) || !std::isfinite(size)) return;  // one cell
+    cols_.size = rows_.size = size;
+    cols_.count = static_cast<int64_t>(width / size) + 1;
+    rows_.count = static_cast<int64_t>(height / size) + 1;
+  }
+
+  CellAxis cols_;
+  CellAxis rows_;
+  std::vector<int32_t> skill_begin_;
+  std::vector<Entry> entries_;
+};
 
 }  // namespace
 
@@ -212,90 +299,29 @@ CandidateSets BuildCandidates(const BatchProblem& problem) {
   sets.worker_tasks.resize(problem.workers.size());
   sets.task_workers.resize(static_cast<size_t>(instance.num_tasks()));
 
-  const CandidatePathChoice choice = ChooseCandidatePath(problem);
-  const bool use_grid = choice.use_grid;
-  if (use_grid) {
-    DASC_METRIC_COUNTER_INC("candidates_grid_builds_total");
-  } else {
-    DASC_METRIC_COUNTER_INC("candidates_skill_builds_total");
-  }
-  DASC_METRIC_GAUGE_SET("candidates_grid_probes_est", choice.grid_probes);
-  DASC_METRIC_GAUGE_SET("candidates_skill_probes_est", choice.skill_probes);
+  const CandidateIndex index(problem);
+  DASC_METRIC_GAUGE_SET("candidates_index_cells", index.num_cells());
 
-  // Each branch fills worker_tasks[i] for its own disjoint worker range
-  // only; the shared index structures are read-only, so every thread count
-  // produces bit-identical worker_tasks.
-  if (use_grid) {
-    std::vector<geo::Point> locations;
-    locations.reserve(problem.open_tasks.size());
-    for (TaskId t : problem.open_tasks) {
-      locations.push_back(instance.task(t).location);
-    }
-    const geo::GridIndex index(locations);
-    util::ParallelFor(
-        0, static_cast<int64_t>(problem.workers.size()), kWorkerGrain,
-        [&](int64_t lo, int64_t hi) {
-          std::vector<int32_t> hits;
-          int64_t probes = 0;  // accumulated locally, one counter add per chunk
-          for (int64_t i = lo; i < hi; ++i) {
-            const WorkerState& state = problem.workers[static_cast<size_t>(i)];
-            hits.clear();
-            index.QueryRadius(state.location, state.remaining_distance, &hits);
-            probes += static_cast<int64_t>(hits.size());
-            auto& out = sets.worker_tasks[static_cast<size_t>(i)];
-            for (int32_t local : hits) {
-              const TaskId t = problem.open_tasks[static_cast<size_t>(local)];
-              if (CanServe(instance, state, t, problem.now, problem.params)) {
-                out.push_back(t);
-              }
-            }
-            std::sort(out.begin(), out.end());
+  // Each chunk fills worker_tasks[i] for its own disjoint worker range only;
+  // the index is read-only, so every thread count produces bit-identical
+  // worker_tasks, each in open_tasks order.
+  util::ParallelFor(
+      0, static_cast<int64_t>(problem.workers.size()), kWorkerGrain,
+      [&](int64_t lo, int64_t hi) {
+        std::vector<int32_t> ranks;
+        int64_t probes = 0;  // accumulated locally, one counter add per chunk
+        for (int64_t i = lo; i < hi; ++i) {
+          ranks.clear();
+          index.Query(problem, problem.workers[static_cast<size_t>(i)], &ranks,
+                      &probes);
+          auto& out = sets.worker_tasks[static_cast<size_t>(i)];
+          out.reserve(ranks.size());
+          for (int32_t r : ranks) {
+            out.push_back(problem.open_tasks[static_cast<size_t>(r)]);
           }
-          DASC_METRIC_COUNTER_ADD("candidates_probes_total", probes);
-        });
-  } else {
-    // Skill inverted index: a worker only ever serves tasks requiring one of
-    // its skills, so scan those lists instead of every open task. rank_of
-    // restores the open_tasks iteration order of the plain scan, keeping the
-    // output identical to the pre-index implementation.
-    std::vector<std::vector<TaskId>> skill_tasks(
-        static_cast<size_t>(instance.num_skills()));
-    std::vector<int32_t> rank_of(static_cast<size_t>(instance.num_tasks()),
-                                 -1);
-    for (size_t r = 0; r < problem.open_tasks.size(); ++r) {
-      const TaskId t = problem.open_tasks[r];
-      rank_of[static_cast<size_t>(t)] = static_cast<int32_t>(r);
-      skill_tasks[static_cast<size_t>(instance.task(t).required_skill)]
-          .push_back(t);
-    }
-    util::ParallelFor(
-        0, static_cast<int64_t>(problem.workers.size()), kWorkerGrain,
-        [&](int64_t lo, int64_t hi) {
-          int64_t probes = 0;  // accumulated locally, one counter add per chunk
-          for (int64_t i = lo; i < hi; ++i) {
-            const WorkerState& state = problem.workers[static_cast<size_t>(i)];
-            auto& out = sets.worker_tasks[static_cast<size_t>(i)];
-            const Worker& w = instance.worker(state.id);
-            for (SkillId s : w.skills) {
-              probes +=
-                  static_cast<int64_t>(skill_tasks[static_cast<size_t>(s)].size());
-              for (TaskId t : skill_tasks[static_cast<size_t>(s)]) {
-                if (CanServe(instance, state, t, problem.now,
-                             problem.params)) {
-                  out.push_back(t);
-                }
-              }
-            }
-            if (w.skills.size() > 1) {
-              std::sort(out.begin(), out.end(), [&](TaskId a, TaskId b) {
-                return rank_of[static_cast<size_t>(a)] <
-                       rank_of[static_cast<size_t>(b)];
-              });
-            }
-          }
-          DASC_METRIC_COUNTER_ADD("candidates_probes_total", probes);
-        });
-  }
+        }
+        DASC_METRIC_COUNTER_ADD("candidates_probes_total", probes);
+      });
 
   // Deterministic merge: task_workers is assembled on the calling thread in
   // ascending worker-index order, exactly as the serial implementation did.
@@ -315,8 +341,8 @@ ServeFailure ClassifyBatchTaskFailure(const BatchProblem& problem,
   DASC_CHECK(problem.instance != nullptr);
   DASC_CHECK(!problem.workers.empty());
   // Max over workers = the most advanced stage any worker reached; the
-  // candidate probe loops cannot supply this (the skill-index path never
-  // probes workers lacking the skill), hence the dedicated scan.
+  // candidate index cannot supply this (it never probes workers lacking the
+  // skill or tasks outside their reach box), hence the dedicated scan.
   ServeFailure best = ServeFailure::kSkillMismatch;
   for (const WorkerState& state : problem.workers) {
     const ServeFailure f =

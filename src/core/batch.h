@@ -88,7 +88,8 @@ struct BatchProblem {
 
 // Feasible-pair candidate sets for one batch.
 struct CandidateSets {
-  // worker_tasks[i]: open tasks servable by problem.workers[i] (sorted).
+  // worker_tasks[i]: open tasks servable by problem.workers[i], in
+  // problem.open_tasks order (ascending in Simulator, Service and Platform).
   std::vector<std::vector<TaskId>> worker_tasks;
   // task_workers[t]: indices into problem.workers that can serve global task
   // t (sized instance->num_tasks(); empty for non-open tasks).
@@ -127,11 +128,12 @@ struct CandidateEdges {
 // Deterministic for every thread count.
 CandidateEdges BuildCandidateEdges(const BatchProblem& problem);
 
-// Computes candidate sets, using a grid index over open-task locations for
-// Euclidean workloads and a skill-inverted-index scan otherwise. Workers are
-// partitioned across the global thread pool (util::ParallelFor); the output
-// is bit-identical for every thread count, including the --threads=1 serial
-// fallback.
+// Computes candidate sets from a per-batch (skill, cell) index over the open
+// tasks: each worker probes, with CanServe, only the open tasks that need one
+// of its skills and lie in the cells its reach box overlaps (one cell for
+// non-Euclidean distance kinds). Workers are partitioned across the global
+// thread pool (util::ParallelFor); the output is bit-identical for every
+// thread count, including the --threads=1 serial fallback.
 CandidateSets BuildCandidates(const BatchProblem& problem);
 
 // The most advanced ServeFailure any idle worker reaches against `task`

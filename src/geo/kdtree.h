@@ -1,7 +1,7 @@
 // Static 2-d tree for radius and nearest-neighbor queries.
 //
-// Alternative to GridIndex for non-uniform (clustered) point sets, where a
-// uniform grid degenerates: construction is O(n log n), radius queries are
+// Suited to non-uniform (clustered) point sets, where a uniform grid
+// degenerates: construction is O(n log n), radius queries are
 // output-sensitive, nearest-neighbor is O(log n) expected.
 #ifndef DASC_GEO_KDTREE_H_
 #define DASC_GEO_KDTREE_H_

@@ -147,7 +147,11 @@ double RoadNetwork::Distance(const Point& a, const Point& b) const {
   const double walk_a = EuclideanDistance(a, node(na));
   const double walk_b = EuclideanDistance(b, node(nb));
   if (na == nb) return walk_a + walk_b;
-  const double through = ShortestPathsFrom(na)[static_cast<size_t>(nb)];
+  double through = 0.0;
+  {
+    const std::lock_guard<std::mutex> lock(*cache_mu_);
+    through = ShortestPathsFrom(na)[static_cast<size_t>(nb)];
+  }
   return walk_a + through + walk_b;
 }
 

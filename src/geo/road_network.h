@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -38,7 +39,8 @@ class RoadNetwork {
 
   // Network distance between arbitrary points: walk to the nearest junction,
   // shortest path through the network, walk from the nearest junction.
-  // Not thread-safe (maintains an internal SSSP cache).
+  // Thread-safe: the internal SSSP cache is guarded by a mutex, so the
+  // parallel candidate build may probe one network from every pool thread.
   double Distance(const Point& a, const Point& b) const;
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
@@ -51,6 +53,7 @@ class RoadNetwork {
  private:
   RoadNetwork() = default;
 
+  // Requires *cache_mu_ held; the reference dies with the next cache clear.
   const std::vector<double>& ShortestPathsFrom(int source) const;
 
   struct Edge {
@@ -64,8 +67,10 @@ class RoadNetwork {
   std::vector<std::vector<Edge>> adjacency_;
   int64_t num_edges_ = 0;
 
-  // SSSP cache; bounded, cleared wholesale when it overflows.
+  // SSSP cache; bounded, cleared wholesale when it overflows. Guarded by
+  // *cache_mu_ (held by pointer so the network stays movable).
   mutable std::unordered_map<int, std::vector<double>> sssp_cache_;
+  std::unique_ptr<std::mutex> cache_mu_ = std::make_unique<std::mutex>();
   static constexpr size_t kMaxCachedSources = 2048;
 };
 

@@ -1,0 +1,374 @@
+// The (skill, cell) candidate index behind core::BuildCandidates, checked
+// byte-for-byte against an exhaustive all-pairs CanServe scan in open_tasks
+// order, at pool sizes 1, 2 and 8. The cases aim at the index's edges: every
+// distance kind, degenerate task layouts, workers outside the tasks'
+// bounding box, tasks exactly on the reach boundary or on cell edges, zero
+// and oversized reach, and mixed remaining budgets within one batch.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "core/batch.h"
+#include "geo/road_network.h"
+#include "test_util.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
+
+namespace dasc::core {
+namespace {
+
+using dasc::testing::MakeTask;
+using dasc::testing::MakeWorker;
+
+// The reference: every open task against every worker, in open_tasks order.
+CandidateSets ExhaustiveCandidates(const BatchProblem& problem) {
+  CandidateSets sets;
+  sets.worker_tasks.resize(problem.workers.size());
+  sets.task_workers.resize(
+      static_cast<size_t>(problem.instance->num_tasks()));
+  for (size_t i = 0; i < problem.workers.size(); ++i) {
+    for (TaskId t : problem.open_tasks) {
+      if (CanServe(*problem.instance, problem.workers[i], t, problem.now,
+                   problem.params)) {
+        sets.worker_tasks[i].push_back(t);
+        sets.task_workers[static_cast<size_t>(t)].push_back(
+            static_cast<int>(i));
+        ++sets.num_pairs;
+      }
+    }
+  }
+  return sets;
+}
+
+// Builds the candidates at every pool size and compares each with the
+// exhaustive scan. Returns the pair count so callers can assert the case
+// is not vacuous. The widest pool goes first, so that caches shared by the
+// probes (the road network's shortest paths) are filled under contention.
+int64_t ExpectMatchesExhaustive(const BatchProblem& problem) {
+  const std::vector<int> pools = {8, 2, 1};
+  std::vector<CandidateSets> built;
+  for (int threads : pools) {
+    util::SetThreads(threads);
+    built.push_back(BuildCandidates(problem));
+    util::SetThreads(0);
+  }
+  const CandidateSets want = ExhaustiveCandidates(problem);
+  for (size_t k = 0; k < pools.size(); ++k) {
+    const CandidateSets& got = built[k];
+    const int threads = pools[k];
+    EXPECT_EQ(got.num_pairs, want.num_pairs) << "threads " << threads;
+    EXPECT_EQ(got.task_workers, want.task_workers) << "threads " << threads;
+    for (size_t i = 0; i < want.worker_tasks.size(); ++i) {
+      EXPECT_EQ(got.worker_tasks[i], want.worker_tasks[i])
+          << "threads " << threads << " worker " << i;
+    }
+  }
+  return want.num_pairs;
+}
+
+Instance MakeInstance(std::vector<Worker> workers, std::vector<Task> tasks,
+                      int num_skills) {
+  auto instance =
+      Instance::Create(std::move(workers), std::move(tasks), num_skills);
+  DASC_CHECK(instance.ok()) << instance.status().ToString();
+  return std::move(*instance);
+}
+
+// One-skill tasks at `points`, and one worker per entry of `workers` (at
+// that point, reach `reach`, the single skill).
+Instance PointsInstance(const std::vector<geo::Point>& tasks,
+                        const std::vector<geo::Point>& workers,
+                        double reach) {
+  std::vector<Worker> ws;
+  for (size_t i = 0; i < workers.size(); ++i) {
+    ws.push_back(MakeWorker(static_cast<WorkerId>(i), workers[i].x,
+                            workers[i].y, {0}, 0.0, 1e6, 1e3, reach));
+  }
+  std::vector<Task> ts;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    ts.push_back(MakeTask(static_cast<TaskId>(i), tasks[i].x, tasks[i].y, 0));
+  }
+  return MakeInstance(std::move(ws), std::move(ts), 1);
+}
+
+// Clustered tasks over `num_skills` skills around a few centres in the unit
+// square (the Meetup shape the index is built for), and workers spread over
+// a slightly larger box so some sit outside the tasks' bounding box. Task
+// deadlines are around the travel time of a trip of `reach` (velocity
+// 1e3), so time, not only reach, rejects some probes.
+Instance ClusteredInstance(uint64_t seed, int num_workers, int num_tasks,
+                           int num_skills, double reach) {
+  util::Rng rng(seed);
+  std::vector<geo::Point> centres;
+  for (int c = 0; c < 5; ++c) {
+    centres.push_back({rng.UniformDouble(0.1, 0.9), rng.UniformDouble(0.1, 0.9)});
+  }
+  std::vector<Task> tasks;
+  for (int t = 0; t < num_tasks; ++t) {
+    const geo::Point& c =
+        centres[static_cast<size_t>(rng.UniformInt(0, 4))];
+    tasks.push_back(MakeTask(
+        t, c.x + rng.UniformDouble(-0.05, 0.05),
+        c.y + rng.UniformDouble(-0.05, 0.05),
+        static_cast<SkillId>(rng.UniformInt(0, num_skills - 1)), {}, 0.0,
+        rng.UniformDouble(0.3e-3 * reach, 1.5e-3 * reach)));
+  }
+  std::vector<Worker> workers;
+  for (int w = 0; w < num_workers; ++w) {
+    std::vector<SkillId> skills;
+    const int count = static_cast<int>(rng.UniformInt(1, 4));
+    for (int k = 0; k < count; ++k) {
+      skills.push_back(static_cast<SkillId>(rng.UniformInt(0, num_skills - 1)));
+    }
+    workers.push_back(MakeWorker(w, rng.UniformDouble(-0.2, 1.2),
+                                 rng.UniformDouble(-0.2, 1.2), skills, 0.0,
+                                 1e6, 1e3, reach));
+  }
+  return MakeInstance(std::move(workers), std::move(tasks), num_skills);
+}
+
+// ------------------------------------------------------- distance kinds ---
+
+TEST(CandidateIndexTest, EuclideanClusteredMatchesExhaustiveScan) {
+  const Instance instance = ClusteredInstance(1, 300, 400, 6, 0.08);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+TEST(CandidateIndexTest, ManhattanMatchesExhaustiveScan) {
+  const Instance instance = ClusteredInstance(2, 200, 300, 6, 0.1);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.params.distance_kind = geo::DistanceKind::kManhattan;
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+TEST(CandidateIndexTest, HaversineMatchesExhaustiveScan) {
+  // Coordinates read as (lon, lat) degrees; the reach is in km, so a
+  // Euclidean reach box would be meaningless. The index falls back to one
+  // cell and must still agree.
+  const Instance instance = ClusteredInstance(3, 200, 300, 6, 15.0);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.params.distance_kind = geo::DistanceKind::kHaversineKm;
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+TEST(CandidateIndexTest, RoadNetworkMatchesExhaustiveScan) {
+  geo::RoadNetwork::Options options;
+  options.grid_width = 12;
+  options.grid_height = 12;
+  const geo::RoadNetwork network =
+      geo::RoadNetwork::MakeGrid(-0.2, -0.2, 1.2, 1.2, options);
+  const Instance instance = ClusteredInstance(4, 150, 200, 6, 0.15);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.params.distance_kind = geo::DistanceKind::kRoadNetwork;
+  problem.params.road_network = &network;
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+// ------------------------------------------------------ task layouts ---
+
+TEST(CandidateIndexTest, WorkersOutsideTaskBoundingBox) {
+  // Tasks fill [0, 1]^2; workers sit beyond every side and corner, some
+  // reaching in across the edge and some not.
+  util::Rng rng(6);
+  std::vector<geo::Point> tasks(200);
+  for (auto& p : tasks) p = {rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)};
+  const std::vector<geo::Point> workers = {
+      {-0.1, 0.5}, {1.1, 0.5},  {0.5, -0.1}, {0.5, 1.1}, {-0.1, -0.1},
+      {1.1, 1.1},  {-0.5, 0.5}, {1.5, 0.5},  {0.5, -3}, {5, 5}};
+  const Instance instance = PointsInstance(tasks, workers, 0.2);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+TEST(CandidateIndexTest, ShuffledOpenTasksKeepOpenTasksOrder) {
+  const Instance instance = ClusteredInstance(7, 100, 200, 3, 0.1);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  util::Rng rng(8);
+  for (size_t i = problem.open_tasks.size(); i > 1; --i) {
+    std::swap(problem.open_tasks[i - 1],
+              problem.open_tasks[static_cast<size_t>(rng.UniformInt(
+                  0, static_cast<int64_t>(i) - 1))]);
+  }
+  problem.open_tasks.resize(150);  // and leave some tasks closed
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+// ------------------------------------------------- boundaries and reach ---
+
+TEST(CandidateIndexTest, ReachBoxEndRoundsBelowAServableTask) {
+  // The worker stands just left of 0, so CanServe's dx = 1 - (-8e-17)
+  // rounds to exactly 1.0 = reach, while the box end -8e-17 + 1.0 rounds
+  // down to 1 - 2^-53, inside the cell left of the task's. The index must
+  // still probe the task.
+  const Instance instance =
+      PointsInstance({{0, 0}, {1, 0}, {2, 0}}, {{-8e-17, 0}}, 1.0);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 2);
+}
+
+TEST(CandidateIndexTest, TasksOnCellEdges) {
+  // The cell size is the largest reach (0.25), and the grid starts at the
+  // tasks' minimum corner (0, 0), so every task here sits on a cell edge or
+  // corner. Workers stand on edges too, with reaches that end exactly on
+  // the neighbouring edge.
+  std::vector<geo::Point> tasks;
+  for (int i = 0; i <= 8; ++i) {
+    for (int j = 0; j <= 8; ++j) tasks.push_back({0.25 * i, 0.25 * j});
+  }
+  std::vector<geo::Point> workers;
+  for (int i = 0; i <= 8; ++i) workers.push_back({0.25 * i, 0.25 * (8 - i)});
+  const Instance instance = PointsInstance(tasks, workers, 0.25);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.workers[0].remaining_distance = 0.125;
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+TEST(CandidateIndexTest, ZeroReachServesOnlyCoLocatedTasks) {
+  const std::vector<geo::Point> tasks = {
+      {0.1, 0.1}, {0.1, 0.1}, {0.2, 0.1}, {0.9, 0.4}};
+  const Instance instance =
+      PointsInstance(tasks, {{0.1, 0.1}, {0.9, 0.4}, {0.5, 0.5}}, 0.0);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 3);
+}
+
+TEST(CandidateIndexTest, MixedRemainingDistances) {
+  // The cumulative budget mode leaves every worker a different remaining
+  // budget; the largest sets the cell size, and a worker with a small
+  // budget still has to find exactly its own tasks.
+  const Instance instance = ClusteredInstance(10, 300, 400, 5, 0.3);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  util::Rng rng(11);
+  for (WorkerState& state : problem.workers) {
+    state.remaining_distance = rng.UniformDouble(0.0, 0.12);
+  }
+  problem.workers[17].remaining_distance = 0.3;
+  problem.workers[42].remaining_distance = 0.0;
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+// ---------------------------------------------- the cell grid itself ---
+//
+// Edge cases of the index's uniform cell grid, as single-skill point sets:
+// empty sides, one point, duplicates, the reach boundary, degenerate boxes
+// and a reach beyond the box.
+
+TEST(GridIndexTest, EmptyIndex) {
+  const Instance instance = PointsInstance({}, {{0, 0}}, 10.0);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 0);
+  // No workers over a non-empty index.
+  const Instance tasks_only = PointsInstance({{0, 0}, {1, 1}}, {}, 1.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(BatchProblem::AllAt(tasks_only, 0.0)), 0);
+}
+
+TEST(GridIndexTest, SinglePoint) {
+  const Instance instance = PointsInstance(
+      {{0.5, 0.5}}, {{0.5, 0.5}, {0.6, 0.5}, {0.6, 0.5}}, 0.2);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.workers[0].remaining_distance = 0.0;
+  problem.workers[1].remaining_distance = 0.05;
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 2);
+}
+
+TEST(GridIndexTest, NegativeRadiusReturnsNothing) {
+  const Instance instance =
+      PointsInstance({{0, 0}, {0.5, 0}}, {{0, 0}, {0.5, 0}}, 1.0);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.workers[0].remaining_distance = -1.0;
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 2);
+}
+
+TEST(GridIndexTest, DuplicatePointsAllReturned) {
+  // All tasks on one point: a zero-extent bounding box.
+  const Instance instance = PointsInstance(
+      {{1, 1}, {1, 1}, {1, 1}}, {{1, 1}, {1.05, 1}, {2, 2}}, 0.1);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 6);
+}
+
+TEST(GridIndexTest, BoundaryInclusive) {
+  // Distances exactly equal to the reach (1.0, 0.5 and 0.25 are exact in
+  // binary) are feasible; the index must probe them.
+  const std::vector<geo::Point> tasks = {
+      {1, 0},   {-1, 0},    {0, 1},       {0, -1},        {0.5, 0},
+      {0, 0.5}, {0.6, 0.8}, {-0.6, -0.8}, {1.0000001, 0}, {0.25, 0}};
+  const Instance instance =
+      PointsInstance(tasks, {{0, 0}, {0.5, 0.5}, {0.75, 0}}, 1.0);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.workers[1].remaining_distance = 0.5;
+  problem.workers[2].remaining_distance = 0.5;
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+  // Worker 0 reaches every exact-distance task, but not 1.0000001.
+  const std::vector<TaskId> w0 = BuildCandidates(problem).worker_tasks[0];
+  for (TaskId t : {0, 1, 2, 3, 4, 5, 9}) {
+    EXPECT_EQ(std::count(w0.begin(), w0.end(), t), 1) << "task " << t;
+  }
+  EXPECT_EQ(std::count(w0.begin(), w0.end(), 8), 0);
+}
+
+// Random points against workers of one reach (which is then the cell size),
+// from zero up to beyond the points' spread.
+class GridIndexPropertyTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(GridIndexPropertyTest, MatchesBruteForce) {
+  util::Rng rng(1234);
+  std::vector<Task> tasks;
+  for (int t = 0; t < 500; ++t) {
+    tasks.push_back(MakeTask(t, rng.UniformDouble(0, 0.5),
+                             rng.UniformDouble(0, 0.5),
+                             static_cast<SkillId>(rng.UniformInt(0, 2))));
+  }
+  tasks.push_back(MakeTask(500, 0.25, 0.25, 0));  // a worker stands here
+  std::vector<Worker> workers;
+  for (int w = 0; w < 50; ++w) {
+    workers.push_back(MakeWorker(
+        w, rng.UniformDouble(-0.1, 0.6), rng.UniformDouble(-0.1, 0.6),
+        {static_cast<SkillId>(rng.UniformInt(0, 2)),
+         static_cast<SkillId>(rng.UniformInt(0, 2))},
+        0.0, 1e6, 1e3, GetParam()));
+  }
+  workers.push_back(MakeWorker(50, 0.25, 0.25, {0}, 0.0, 1e6, 1e3, GetParam()));
+  const Instance instance =
+      MakeInstance(std::move(workers), std::move(tasks), 3);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0) << "reach=" << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(CellSizes, GridIndexPropertyTest,
+                         ::testing::Values(0.0, 0.01, 0.05, 0.2, 1.0));
+
+TEST(GridIndexTest, CollinearPointsDegenerateBox) {
+  // All points on a horizontal line: the bounding box has zero height.
+  std::vector<geo::Point> tasks;
+  for (int i = 0; i < 20; ++i) tasks.push_back({0.1 * i, 3.0});
+  const Instance instance =
+      PointsInstance(tasks, {{0.95, 3.0}, {0.95, 3.1}, {-1, 3}}, 0.16);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  const CandidateSets sets = BuildCandidates(problem);
+  EXPECT_EQ(sets.worker_tasks[0], (std::vector<TaskId>{8, 9, 10, 11}));
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+  // A vertical line: zero width, one column of cells.
+  std::vector<geo::Point> column;
+  for (int i = 0; i < 30; ++i) column.push_back({2.0, 0.1 * i});
+  const Instance vertical = PointsInstance(
+      column, {{2.0, 0.95}, {2.1, 1.5}, {1.0, 1.0}, {2.0, -0.2}}, 0.16);
+  EXPECT_GT(ExpectMatchesExhaustive(BatchProblem::AllAt(vertical, 0.0)), 0);
+}
+
+TEST(GridIndexTest, LargeRadiusReturnsEverything) {
+  util::Rng rng(5);
+  std::vector<geo::Point> tasks(100);
+  for (auto& p : tasks) p = {rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)};
+  // Two of the workers stand outside the points' bounding box.
+  const Instance instance =
+      PointsInstance(tasks, {{0.5, 0.5}, {-3, 8}, {40, 40}}, 10.0);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 200);
+}
+
+}  // namespace
+}  // namespace dasc::core

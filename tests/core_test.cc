@@ -279,8 +279,8 @@ TEST(BatchTest, CandidatesMatchBruteForce) {
 }
 
 TEST(BatchTest, CandidatesGridAndScanAgree) {
-  // Whichever path the probe-count model picks, the output must equal a
-  // direct CanServe scan.
+  // With a selective reach the candidate index spans several cells; the
+  // output must still equal a direct CanServe scan.
   testing::RandomInstanceParams params;
   params.num_tasks = 200;
   params.num_workers = 30;

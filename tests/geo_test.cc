@@ -1,11 +1,9 @@
-// Unit + property tests for geo: distances and the grid index.
+// Unit + property tests for geo distances.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "geo/distance.h"
-#include "geo/grid_index.h"
 #include "util/rng.h"
 
 namespace dasc::geo {
@@ -68,87 +66,6 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, DistancePropertyTest,
                          ::testing::Values(DistanceKind::kEuclidean,
                                            DistanceKind::kManhattan,
                                            DistanceKind::kHaversineKm));
-
-// ------------------------------------------------------------- GridIndex ---
-
-TEST(GridIndexTest, EmptyIndex) {
-  GridIndex index({});
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(index.QueryRadius({0, 0}, 10.0).empty());
-}
-
-TEST(GridIndexTest, SinglePoint) {
-  GridIndex index({{0.5, 0.5}});
-  EXPECT_EQ(index.QueryRadius({0.5, 0.5}, 0.0).size(), 1u);
-  EXPECT_EQ(index.QueryRadius({0.6, 0.5}, 0.05).size(), 0u);
-  EXPECT_EQ(index.QueryRadius({0.6, 0.5}, 0.2).size(), 1u);
-}
-
-TEST(GridIndexTest, NegativeRadiusReturnsNothing) {
-  GridIndex index({{0, 0}});
-  EXPECT_TRUE(index.QueryRadius({0, 0}, -1.0).empty());
-}
-
-TEST(GridIndexTest, DuplicatePointsAllReturned) {
-  GridIndex index({{1, 1}, {1, 1}, {1, 1}});
-  EXPECT_EQ(index.QueryRadius({1, 1}, 0.1).size(), 3u);
-}
-
-TEST(GridIndexTest, BoundaryInclusive) {
-  GridIndex index({{0, 0}, {1, 0}});
-  // Radius exactly equal to the distance includes the point.
-  auto hits = index.QueryRadius({0, 0}, 1.0);
-  EXPECT_EQ(hits.size(), 2u);
-}
-
-// Grid query must agree with brute force on random data, across cell sizes.
-class GridIndexPropertyTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(GridIndexPropertyTest, MatchesBruteForce) {
-  util::Rng rng(1234);
-  std::vector<Point> points(500);
-  for (auto& p : points) {
-    p = {rng.UniformDouble(0, 0.5), rng.UniformDouble(0, 0.5)};
-  }
-  GridIndex index(points, GetParam());
-  for (int iter = 0; iter < 50; ++iter) {
-    const Point center{rng.UniformDouble(-0.1, 0.6),
-                       rng.UniformDouble(-0.1, 0.6)};
-    const double radius = rng.UniformDouble(0.0, 0.3);
-    auto got = index.QueryRadius(center, radius);
-    std::sort(got.begin(), got.end());
-    std::vector<int32_t> want;
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (EuclideanDistance(points[i], center) <= radius) {
-        want.push_back(static_cast<int32_t>(i));
-      }
-    }
-    EXPECT_EQ(got, want) << "cell_size=" << GetParam() << " radius=" << radius;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(CellSizes, GridIndexPropertyTest,
-                         ::testing::Values(0.0, 0.01, 0.05, 0.2, 1.0));
-
-TEST(GridIndexTest, CollinearPointsDegenerateBox) {
-  // All points on a horizontal line: bounding box has zero height.
-  std::vector<Point> points;
-  for (int i = 0; i < 20; ++i) points.push_back({0.1 * i, 3.0});
-  GridIndex index(points);
-  auto hits = index.QueryRadius({0.95, 3.0}, 0.16);
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<int32_t>{8, 9, 10, 11}));
-}
-
-TEST(GridIndexTest, LargeRadiusReturnsEverything) {
-  util::Rng rng(5);
-  std::vector<Point> points(100);
-  for (auto& p : points) {
-    p = {rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)};
-  }
-  GridIndex index(points);
-  EXPECT_EQ(index.QueryRadius({0.5, 0.5}, 10.0).size(), 100u);
-}
 
 }  // namespace
 }  // namespace dasc::geo

@@ -118,11 +118,11 @@ TEST(ThreadsConfigTest, ZeroMeansHardwareConcurrency) {
   util::SetThreads(0);
 }
 
-// --- Determinism: BuildCandidates across thread counts and both paths. ---
+// --- Determinism: BuildCandidates across thread counts and index shapes. ---
 
-// Broadly-skilled, spatially-confined workers: the probe-count model picks
-// the grid (spatial selectivity ~4% of the area beats skill selectivity
-// ~75% of the open tasks).
+// Broadly-skilled, spatially-confined workers: the candidate index splits
+// the area into ~17x17 cells, so the spatial filter does most of the work
+// (reach ~4% of the area, skills ~75% of the open tasks).
 core::Instance GridFavoringInstance() {
   gen::SyntheticParams params;
   params.seed = 29;
@@ -149,7 +149,7 @@ void CheckBuildDeterminism(const core::Instance& instance) {
     const core::CandidateSets parallel = core::BuildCandidates(problem);
     EXPECT_TRUE(SameCandidates(serial, parallel)) << "threads " << threads;
   }
-  // Either path must equal a plain CanServe scan in content and order
+  // The index must equal a plain CanServe scan in content and order
   // (open_tasks order — the pre-parallelism serial output).
   for (size_t i = 0; i < problem.workers.size(); ++i) {
     std::vector<core::TaskId> expected;
@@ -169,7 +169,7 @@ TEST(ParallelDeterminismTest, GridPathIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminismTest, SkillPathIdenticalAcrossThreadCounts) {
   // Table V-like selectivity (few skills per worker out of many, broad
-  // reach): the probe-count model picks the skill inverted index.
+  // reach): few cells, so the skill buckets do most of the filtering.
   CheckBuildDeterminism(MakeInstance(7));
 }
 

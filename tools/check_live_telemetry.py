@@ -172,8 +172,10 @@ def main():
             if scrapes == 0:
                 fail("no successful scrape before the server stopped")
         finally:
-            simulate.stdout.close()
-            returncode = simulate.wait(timeout=600)
+            # Drain the pipe before reaping: closing it while simulate still
+            # prints its summary would kill it with SIGPIPE.
+            simulate.communicate(timeout=600)
+            returncode = simulate.returncode
         if returncode != 0:
             fail(f"simulate exited {returncode}")
 
