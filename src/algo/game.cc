@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/flight_recorder.h"
@@ -22,6 +23,10 @@ constexpr TaskId kNoTask = core::kInvalidId;
 // Incremental state of the strategy profile: per-task contender counts,
 // assignment flags, and per-task counts of unmet (unassigned) closure
 // dependencies, maintained under single add/remove operations.
+//
+// Only open tasks can be chosen, and Utility reads unmet() only of a chosen
+// task and of open dependents, so unmet is initialised for open tasks only;
+// other tasks' counters drift under Add/Remove and are never read.
 class GameState {
  public:
   GameState(const BatchProblem& problem)
@@ -30,8 +35,8 @@ class GameState {
     count_.assign(m, 0);
     unmet_.assign(m, 0);
     open_.assign(m, 0);
-    for (TaskId t : problem.open_tasks) open_[static_cast<size_t>(t)] = 1;
-    for (TaskId t = 0; t < instance_.num_tasks(); ++t) {
+    for (TaskId t : problem.open_tasks) {
+      open_[static_cast<size_t>(t)] = 1;
       int unmet = 0;
       for (TaskId f : instance_.DepClosure(t)) {
         if (!Assigned(f)) ++unmet;
@@ -268,22 +273,24 @@ core::Assignment GameAllocator::Allocate(const core::BatchProblem& problem) {
   // --- Rounding (Algorithm 3 line 12 + the paper's cleanup note): one
   // random contender wins each contested task, then assignments whose
   // dependencies are not fully satisfied are removed (Algorithm 3's final
-  // step), so the platform never dispatches them. ---
-  std::unordered_map<TaskId, std::vector<int>> contenders;
-  for (int wi : players) {
-    contenders[choice[static_cast<size_t>(wi)]].push_back(wi);
-  }
+  // step), so the platform never dispatches them. Picks are grouped by
+  // task in ascending task order (deterministic for reproducibility), with
+  // each task's contenders in ascending worker index. ---
+  std::vector<std::pair<TaskId, int>> picks;
+  picks.reserve(players.size());
+  for (int wi : players) picks.push_back({choice[static_cast<size_t>(wi)], wi});
+  std::sort(picks.begin(), picks.end());
   core::Assignment assignment;
-  // Deterministic task order for reproducibility.
-  std::vector<TaskId> tasks;
-  tasks.reserve(contenders.size());
-  for (const auto& [t, _] : contenders) tasks.push_back(t);
-  std::sort(tasks.begin(), tasks.end());
-  for (TaskId t : tasks) {
-    const auto& list = contenders[t];
-    const int wi = list[static_cast<size_t>(
-        rng_.UniformInt(0, static_cast<int64_t>(list.size()) - 1))];
-    assignment.Add(problem.workers[static_cast<size_t>(wi)].id, t);
+  for (size_t begin = 0; begin < picks.size();) {
+    size_t end = begin + 1;
+    while (end < picks.size() && picks[end].first == picks[begin].first) ++end;
+    const size_t winner =
+        begin + static_cast<size_t>(rng_.UniformInt(
+                    0, static_cast<int64_t>(end - begin) - 1));
+    const int wi = picks[winner].second;
+    assignment.Add(problem.workers[static_cast<size_t>(wi)].id,
+                   picks[begin].first);
+    begin = end;
   }
   return core::ValidPairs(problem, assignment);
 }
@@ -294,9 +301,13 @@ double ProfileWorkerUtility(const core::BatchProblem& problem,
   DASC_CHECK(problem.instance != nullptr);
   DASC_CHECK_LT(wi, choice.size());
   GameState state(problem);
+  DASC_CHECK(state.open(s)) << "task " << s << " is not open in the batch";
   for (size_t i = 0; i < choice.size(); ++i) {
     if (i == wi) continue;  // the deviating worker is excluded
-    if (choice[i] != kNoTask) state.Add(choice[i]);
+    if (choice[i] == kNoTask) continue;
+    DASC_CHECK(state.open(choice[i]))
+        << "task " << choice[i] << " is not open in the batch";
+    state.Add(choice[i]);
   }
   return state.Utility(s, alpha, GameOptions::UtilityVariant::kPaperEq3);
 }
@@ -308,7 +319,9 @@ double ProfileUtilitySum(const core::BatchProblem& problem,
   DASC_CHECK_EQ(choice.size(), problem.workers.size());
   GameState state(problem);
   for (TaskId t : choice) {
-    if (t != kNoTask) state.Add(t);
+    if (t == kNoTask) continue;
+    DASC_CHECK(state.open(t)) << "task " << t << " is not open in the batch";
+    state.Add(t);
   }
   double total = 0.0;
   for (TaskId t : choice) {

@@ -49,6 +49,10 @@ struct CellAxis {
 // among the batch's workers, so a reach box overlaps at most 3x3 cells and
 // the index needs no density estimate. Non-Euclidean kinds use one cell:
 // the query is then a plain skill inverted-index scan.
+//
+// Each entry carries its task's packed row (location, start, expiry) beside
+// its key, so a run is probed with ServeFits over contiguous memory; the
+// skill check is implied by the bucket.
 class CandidateIndex {
  public:
   explicit CandidateIndex(const BatchProblem& problem) {
@@ -69,19 +73,28 @@ class CandidateIndex {
     }
     // Counting sort by skill keeps ranks ascending within each skill; the
     // per-skill sort then orders by cell, ties by rank.
-    entries_.resize(m);
+    std::vector<std::pair<int64_t, int32_t>> order(m);
     std::vector<int32_t> cursor(skill_begin_.begin(), skill_begin_.end() - 1);
     for (size_t r = 0; r < m; ++r) {
       const Task& task = instance.task(problem.open_tasks[r]);
       const int64_t key = cols_.count * rows_.Cell(task.location.y) +
                           cols_.Cell(task.location.x);
-      entries_[static_cast<size_t>(
+      order[static_cast<size_t>(
           cursor[static_cast<size_t>(task.required_skill)]++)] = {
           key, static_cast<int32_t>(r)};
     }
     for (size_t s = 0; s + 1 < skill_begin_.size(); ++s) {
-      std::sort(entries_.begin() + skill_begin_[s],
-                entries_.begin() + skill_begin_[s + 1]);
+      std::sort(order.begin() + skill_begin_[s],
+                order.begin() + skill_begin_[s + 1]);
+    }
+    keys_.resize(m);
+    ranks_.resize(m);
+    task_rows_.resize(m);
+    for (size_t k = 0; k < m; ++k) {
+      keys_[k] = order[k].first;
+      ranks_[k] = order[k].second;
+      task_rows_[k] = TaskRow::Of(instance.task(
+          problem.open_tasks[static_cast<size_t>(order[k].second)]));
     }
   }
 
@@ -89,11 +102,12 @@ class CandidateIndex {
     return static_cast<double>(cols_.count) * static_cast<double>(rows_.count);
   }
 
-  // Appends to `ranks`, in ascending order, the open_tasks ranks of every
-  // task `state` can serve; `probes` counts the CanServe calls made.
+  // Appends to `ranks`, in probe order, the open_tasks ranks of every task
+  // `state` can serve; `probes` counts the entries tested.
   void Query(const BatchProblem& problem, const WorkerState& state,
              std::vector<int32_t>* ranks, int64_t* probes) const {
-    const Instance& instance = *problem.instance;
+    const Worker& worker = problem.instance->worker(state.id);
+    const ServeQuery q = ServeQuery::Of(worker, state, problem.now);
     int64_t col_lo = 0, col_hi = cols_.count - 1;
     int64_t row_lo = 0, row_hi = rows_.count - 1;
     const double r = state.remaining_distance;
@@ -114,33 +128,54 @@ class CandidateIndex {
       row_lo = rows_.Cell(p.y - reach);
       row_hi = rows_.Cell(p.y + reach);
     }
-    const size_t first_hit = ranks->size();
-    for (SkillId s : instance.worker(state.id).skills) {
-      const auto begin =
-          entries_.begin() + skill_begin_[static_cast<size_t>(s)];
+    for (SkillId s : worker.skills) {
+      const auto begin = keys_.begin() + skill_begin_[static_cast<size_t>(s)];
       const auto end =
-          entries_.begin() + skill_begin_[static_cast<size_t>(s) + 1];
+          keys_.begin() + skill_begin_[static_cast<size_t>(s) + 1];
       for (int64_t row = row_lo; row <= row_hi && begin != end; ++row) {
         const int64_t last_key = row * cols_.count + col_hi;
-        auto it = std::lower_bound(
-            begin, end, Entry{row * cols_.count + col_lo, 0});
-        for (; it != end && it->first <= last_key; ++it) {
-          ++*probes;
-          if (CanServe(instance, state,
-                       problem.open_tasks[static_cast<size_t>(it->second)],
-                       problem.now, problem.params)) {
-            ranks->push_back(it->second);
-          }
-        }
+        auto it = std::lower_bound(begin, end, row * cols_.count + col_lo);
+        auto run_end = it;
+        while (run_end != end && *run_end <= last_key) ++run_end;
+        ProbeRun(problem, state, q, static_cast<size_t>(it - keys_.begin()),
+                 static_cast<size_t>(run_end - keys_.begin()), ranks);
+        *probes += run_end - it;
       }
     }
-    std::sort(ranks->begin() + static_cast<std::ptrdiff_t>(first_hit),
-              ranks->end());
   }
 
  private:
-  // (cell key, rank in open_tasks); ordered lexicographically.
-  using Entry = std::pair<int64_t, int32_t>;
+  // Appends the ranks of the entries in [lo, hi) that `state` can serve.
+  void ProbeRun(const BatchProblem& problem, const WorkerState& state,
+                const ServeQuery& q, size_t lo, size_t hi,
+                std::vector<int32_t>* ranks) const {
+    if (problem.params.distance_kind != geo::DistanceKind::kEuclidean) {
+      for (size_t k = lo; k < hi; ++k) {
+        const TaskRow& row = task_rows_[k];
+        // CanServe's order: a road-network distance only inside the window.
+        if (InServeWindow(q, row.start_time) &&
+            InServeReach(q,
+                         PairDistance(problem.params, state.location,
+                                      row.location),
+                         row.expiry)) {
+          ranks->push_back(ranks_[k]);
+        }
+      }
+      return;
+    }
+    // Every entry is written, and the count advances only on a fit.
+    const size_t base = ranks->size();
+    ranks->resize(base + (hi - lo));
+    int32_t* out = ranks->data() + base;
+    size_t hits = 0;
+    for (size_t k = lo; k < hi; ++k) {
+      const TaskRow& row = task_rows_[k];
+      out[hits] = ranks_[k];
+      hits += ServeFits(
+          q, row, geo::EuclideanDistance(state.location, row.location));
+    }
+    ranks->resize(base + hits);
+  }
 
   void SizeGrid(const BatchProblem& problem) {
     const Instance& instance = *problem.instance;
@@ -171,7 +206,10 @@ class CandidateIndex {
   CellAxis cols_;
   CellAxis rows_;
   std::vector<int32_t> skill_begin_;
-  std::vector<Entry> entries_;
+  // Per entry, in (skill, cell key, rank) order.
+  std::vector<int64_t> keys_;
+  std::vector<int32_t> ranks_;
+  std::vector<TaskRow> task_rows_;
 };
 
 }  // namespace
@@ -302,34 +340,54 @@ CandidateSets BuildCandidates(const BatchProblem& problem) {
   const CandidateIndex index(problem);
   DASC_METRIC_GAUGE_SET("candidates_index_cells", index.num_cells());
 
-  // Each chunk fills worker_tasks[i] for its own disjoint worker range only;
-  // the index is read-only, so every thread count produces bit-identical
-  // worker_tasks, each in open_tasks order.
+  // Each chunk fills worker_tasks[i], for its own disjoint worker range
+  // only, with the open_tasks ranks of worker i's servable tasks in probe
+  // order; the index is read-only, so every thread count fills the same.
   util::ParallelFor(
       0, static_cast<int64_t>(problem.workers.size()), kWorkerGrain,
       [&](int64_t lo, int64_t hi) {
-        std::vector<int32_t> ranks;
+        std::vector<int32_t> ranks;  // probe scratch, sized for a run
         int64_t probes = 0;  // accumulated locally, one counter add per chunk
         for (int64_t i = lo; i < hi; ++i) {
           ranks.clear();
           index.Query(problem, problem.workers[static_cast<size_t>(i)], &ranks,
                       &probes);
-          auto& out = sets.worker_tasks[static_cast<size_t>(i)];
-          out.reserve(ranks.size());
-          for (int32_t r : ranks) {
-            out.push_back(problem.open_tasks[static_cast<size_t>(r)]);
-          }
+          sets.worker_tasks[static_cast<size_t>(i)].assign(ranks.begin(),
+                                                           ranks.end());
         }
         DASC_METRIC_COUNTER_ADD("candidates_probes_total", probes);
       });
 
-  // Deterministic merge: task_workers is assembled on the calling thread in
-  // ascending worker-index order, exactly as the serial implementation did.
-  for (size_t i = 0; i < sets.worker_tasks.size(); ++i) {
-    for (TaskId t : sets.worker_tasks[i]) {
-      sets.task_workers[static_cast<size_t>(t)].push_back(
-          static_cast<int>(i));
-      ++sets.num_pairs;
+  // Both published orders come from two stable counting passes on the
+  // calling thread, with no comparison sort: grouping the pairs by rank in
+  // ascending worker order gives each task's workers ascending, and reading
+  // the groups back rank by rank gives each worker's tasks in open_tasks
+  // order.
+  const size_t num_open = problem.open_tasks.size();
+  std::vector<int64_t> rank_begin(num_open + 1, 0);
+  for (const std::vector<TaskId>& ranks : sets.worker_tasks) {
+    for (int32_t r : ranks) ++rank_begin[static_cast<size_t>(r) + 1];
+  }
+  for (size_t r = 0; r < num_open; ++r) rank_begin[r + 1] += rank_begin[r];
+  sets.num_pairs = rank_begin[num_open];
+  std::vector<int32_t> by_rank(static_cast<size_t>(sets.num_pairs));
+  {
+    std::vector<int64_t> cursor(rank_begin.begin(), rank_begin.end() - 1);
+    for (size_t i = 0; i < sets.worker_tasks.size(); ++i) {
+      for (int32_t r : sets.worker_tasks[i]) {
+        by_rank[static_cast<size_t>(cursor[static_cast<size_t>(r)]++)] =
+            static_cast<int32_t>(i);
+      }
+      sets.worker_tasks[i].clear();  // keeps the capacity the refill needs
+    }
+  }
+  for (size_t r = 0; r < num_open; ++r) {
+    const TaskId t = problem.open_tasks[r];
+    std::vector<int>& workers = sets.task_workers[static_cast<size_t>(t)];
+    workers.assign(by_rank.begin() + rank_begin[r],
+                   by_rank.begin() + rank_begin[r + 1]);
+    for (int i : workers) {
+      sets.worker_tasks[static_cast<size_t>(i)].push_back(t);
     }
   }
   DASC_METRIC_COUNTER_ADD("candidates_pairs_total", sets.num_pairs);

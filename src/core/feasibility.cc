@@ -58,8 +58,15 @@ ServeFailure ClassifyServe(const Instance& instance, const WorkerState& state,
 
 bool CanServe(const Instance& instance, const WorkerState& state, TaskId task,
               double now, const FeasibilityParams& params) {
-  return ClassifyServe(instance, state, task, now, params) ==
-         ServeFailure::kNone;
+  const Worker& w = instance.worker(state.id);
+  const Task& t = instance.task(task);
+  if (!w.HasSkill(t.required_skill)) return false;
+  const ServeQuery q = ServeQuery::Of(w, state, now);
+  // The distance is computed only inside the window: a road-network
+  // distance is a shortest-path query.
+  if (!InServeWindow(q, t.start_time)) return false;
+  return InServeReach(q, ServeDistance(instance, state, task, params),
+                      t.Expiry());
 }
 
 ServeFailure ClassifyServeOffline(const Instance& instance, WorkerId worker,

@@ -69,6 +69,55 @@ ServeFailure ClassifyServeOffline(const Instance& instance, WorkerId worker,
                                   TaskId task,
                                   const FeasibilityParams& params);
 
+// The worker side of CanServe's checks after the skill test, read once per
+// (worker, batch): dispatch time, deadline s_w + w_w, velocity, remaining
+// travel budget.
+struct ServeQuery {
+  double now = 0.0;
+  double deadline = 0.0;
+  double velocity = 1.0;
+  double remaining = 0.0;
+
+  static ServeQuery Of(const Worker& w, const WorkerState& state,
+                       double now) {
+    return {now, w.Deadline(), w.velocity, state.remaining_distance};
+  }
+};
+
+// The task side: what the candidate index packs beside each entry.
+struct TaskRow {
+  geo::Point location;
+  double start_time = 0.0;
+  double expiry = 0.0;  // s_t + w_t
+
+  static TaskRow Of(const Task& t) {
+    return {t.location, t.start_time, t.Expiry()};
+  }
+};
+
+// CanServe's time checks: the worker has not left, the task appears before
+// the worker leaves, and the task has appeared. Each check is a negated
+// comparison, as in ClassifyServe, so NaN never fails one.
+inline bool InServeWindow(const ServeQuery& q, double task_start) {
+  return !(q.now > q.deadline) & !(task_start > q.deadline) &
+         !(task_start > q.now);
+}
+
+// CanServe's travel checks for a trip of length `dist`: within the budget,
+// and arriving by the task's expiry.
+inline bool InServeReach(const ServeQuery& q, double dist,
+                         double task_expiry) {
+  return !(dist > q.remaining) & !(q.now + dist / q.velocity > task_expiry);
+}
+
+// Every check of CanServe but the skill test, evaluated without branches:
+// the candidate index's per-probe predicate (core/batch.cc), where the skill
+// is implied by the index bucket.
+inline bool ServeFits(const ServeQuery& q, const TaskRow& row, double dist) {
+  return InServeWindow(q, row.start_time) &
+         InServeReach(q, dist, row.expiry);
+}
+
 // True iff the worker in `state` can serve `task` when dispatched at time
 // `now` (batch semantics):
 //   * skill match,

@@ -11,12 +11,6 @@ constexpr double kEarthRadiusKm = 6371.0088;
 double DegToRad(double deg) { return deg * M_PI / 180.0; }
 }  // namespace
 
-double EuclideanDistance(const Point& a, const Point& b) {
-  const double dx = a.x - b.x;
-  const double dy = a.y - b.y;
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 double ManhattanDistance(const Point& a, const Point& b) {
   return std::fabs(a.x - b.x) + std::fabs(a.y - b.y);
 }

@@ -6,6 +6,8 @@
 #ifndef DASC_GEO_DISTANCE_H_
 #define DASC_GEO_DISTANCE_H_
 
+#include <cmath>
+
 #include "geo/point.h"
 
 namespace dasc::geo {
@@ -18,7 +20,13 @@ enum class DistanceKind {
                  // dispatched by core::PairDistance, not geo::Distance).
 };
 
-double EuclideanDistance(const Point& a, const Point& b);
+// Inline so the candidate index's probe loop (core/batch.cc) runs this exact
+// arithmetic without a call.
+inline double EuclideanDistance(const Point& a, const Point& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  return std::sqrt(dx * dx + dy * dy);
+}
 double ManhattanDistance(const Point& a, const Point& b);
 double HaversineDistanceKm(const Point& a, const Point& b);
 

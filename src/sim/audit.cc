@@ -1,6 +1,7 @@
 #include "sim/audit.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -347,6 +348,113 @@ BatchAudit BatchAuditor::AuditBatch(const core::BatchProblem& problem,
   }
   DASC_METRIC_HISTOGRAM_OBSERVE("audit_batch_ms", timer.ElapsedMillis());
   return audit;
+}
+
+int BatchAuditor::AuditMarket(const core::BatchProblem& problem,
+                              const MarketState& market, int batch_seq) {
+  DASC_CHECK(problem.instance != nullptr);
+  const core::Instance& instance = *problem.instance;
+  const double now = problem.now;
+  const size_t m = static_cast<size_t>(instance.num_tasks());
+  int violations = 0;
+  auto violation = [&](const std::string& message) {
+    // The first difference of a batch is logged; the rest are counted.
+    if (violations++ == 0) {
+      DASC_LOG(WARNING) << "market audit: batch " << batch_seq << ": "
+                        << message;
+    }
+    DASC_CHECK(!options_.fail_hard)
+        << "market audit: batch " << batch_seq << ": " << message;
+  };
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+
+  // Idle workers: arrived, not departed, neither camped nor busy.
+  std::vector<core::WorkerState> want_workers;
+  for (const core::Worker& w : instance.workers()) {
+    const WorkerRuntime& rt = market.workers[static_cast<size_t>(w.id)];
+    if (w.start_time > now || w.Deadline() < now) continue;
+    if (rt.camped || rt.busy_until > now) continue;
+    want_workers.push_back(
+        {w.id, rt.location,
+         market.cumulative_budget ? rt.budget : w.max_distance});
+  }
+  const std::vector<core::WorkerState>& got_workers = problem.workers;
+  for (size_t a = 0, b = 0;
+       a < want_workers.size() || b < got_workers.size();) {
+    const core::WorkerId want =
+        a < want_workers.size() ? want_workers[a].id : instance.num_workers();
+    const core::WorkerId got =
+        b < got_workers.size() ? got_workers[b].id : instance.num_workers();
+    if (want < got) {
+      violation("idle worker " + std::to_string(want) +
+                " missing from the batch");
+      ++a;
+    } else if (got < want) {
+      violation("worker " + std::to_string(got) +
+                " in the batch but not idle there, or out of id order");
+      ++b;
+    } else {
+      const core::WorkerState& x = want_workers[a++];
+      const core::WorkerState& y = got_workers[b++];
+      if (!same_bits(x.location.x, y.location.x) ||
+          !same_bits(x.location.y, y.location.y) ||
+          !same_bits(x.remaining_distance, y.remaining_distance)) {
+        violation("worker " + std::to_string(x.id) +
+                  " has a stale location or budget in the batch");
+      }
+    }
+  }
+
+  // Open tasks: unassigned and uncamped, arrived, not expired. Credit:
+  // assigned before this batch's instant (a camp resolved in this batch
+  // counts from the next), and completed by now in kCompleted mode.
+  const bool credit_sized = problem.assigned_before.size() == m;
+  if (!credit_sized) {
+    violation("assigned_before has " +
+              std::to_string(problem.assigned_before.size()) +
+              " entries for " + std::to_string(m) + " tasks");
+  }
+  std::vector<core::TaskId> want_open;
+  for (const core::Task& t : instance.tasks()) {
+    const size_t i = static_cast<size_t>(t.id);
+    const bool credit =
+        market.tasks[i] == TaskStatus::kAssigned &&
+        market.assigned_at[i] < now &&
+        (!market.completed_mode || market.completion[i] <= now);
+    if (credit_sized && (problem.assigned_before[i] != 0) != credit) {
+      violation("task " + std::to_string(t.id) + " has dependency credit " +
+                (credit ? "missing from" : "wrongly given in") + " the batch");
+    }
+    if (market.tasks[i] != TaskStatus::kUnassigned) continue;
+    if (t.start_time > now || t.Expiry() < now) continue;
+    want_open.push_back(t.id);
+  }
+  const std::vector<core::TaskId>& got_open = problem.open_tasks;
+  const core::TaskId end = instance.num_tasks();
+  for (size_t a = 0, b = 0; a < want_open.size() || b < got_open.size();) {
+    const core::TaskId want = a < want_open.size() ? want_open[a] : end;
+    const core::TaskId got = b < got_open.size() ? got_open[b] : end;
+    if (want < got) {
+      violation("open task " + std::to_string(want) +
+                " missing from the batch");
+      ++a;
+    } else if (got < want) {
+      violation("task " + std::to_string(got) +
+                " in the batch but not open there, or out of id order");
+      ++b;
+    } else {
+      ++a;
+      ++b;
+    }
+  }
+
+  summary_.violations += violations;
+  if (violations > 0) {
+    DASC_METRIC_COUNTER_ADD("audit_violations_total", violations);
+  }
+  return violations;
 }
 
 void BatchAuditor::ObserveLedgerBatch(const core::BatchProblem& problem,

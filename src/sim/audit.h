@@ -40,6 +40,7 @@
 #include "core/assignment.h"
 #include "core/batch.h"
 #include "sim/ledger.h"
+#include "sim/market.h"
 
 namespace dasc::sim {
 
@@ -111,6 +112,15 @@ class BatchAuditor {
   // Accumulates into summary() and emits audit_* metrics.
   BatchAudit AuditBatch(const core::BatchProblem& problem,
                         const core::Assignment& committed, int batch_seq);
+
+  // Market audit: re-derives the batch's idle workers, open tasks and
+  // dependency credit from `market` with a full scan of the catalog (the
+  // assembly the replay simulator ran before its live sets) and compares
+  // them with `problem`. Each worker or task that is missing, extra or
+  // differs is one violation, accumulated into summary().violations (and
+  // fail-hard like AuditBatch). Returns this call's violation count.
+  int AuditMarket(const core::BatchProblem& problem, const MarketState& market,
+                  int batch_seq);
 
   // Shadow re-derivation of the lifecycle ledger's per-batch failure stages
   // (DESIGN.md §11): for every open task not in `committed`, recomputes the

@@ -1,12 +1,14 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <queue>
 
 #include "core/candidate_view.h"
+#include "sim/market.h"
 #include "sim/metrics_timeseries.h"
 #include "sim/task_trace.h"
 #include "sim/watchdog.h"
@@ -19,14 +21,6 @@
 namespace dasc::sim {
 
 namespace {
-
-// Dynamic per-worker runtime state.
-struct WorkerRuntime {
-  geo::Point location;
-  double budget = 0.0;  // remaining distance (kCumulative mode)
-  double busy_until = -std::numeric_limits<double>::infinity();
-  bool camped = false;  // committed to a dependency-blocked task (kWait)
-};
 
 // A binding dispatch to a dependency-blocked task (kWait mode).
 struct PendingDispatch {
@@ -50,19 +44,25 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
   if (n == 0 || m == 0) return result;
   double latency_sum = 0.0;
 
-  std::vector<WorkerRuntime> runtime(static_cast<size_t>(n));
+  const bool completed_mode =
+      options_.dependency_mode == SimulatorOptions::DependencyMode::kCompleted;
+  const bool event_driven =
+      options_.batch_trigger == SimulatorOptions::BatchTrigger::kEventDriven;
+
+  MarketState market;
+  market.cumulative_budget =
+      options_.budget_mode == SimulatorOptions::BudgetMode::kCumulative;
+  market.completed_mode = completed_mode;
+  market.workers.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     const core::Worker& w = instance_.worker(i);
-    runtime[static_cast<size_t>(i)].location = w.location;
-    runtime[static_cast<size_t>(i)].budget = w.max_distance;
+    market.workers[static_cast<size_t>(i)].location = w.location;
+    market.workers[static_cast<size_t>(i)].budget = w.max_distance;
   }
-
-  std::vector<uint8_t> task_assigned(static_cast<size_t>(m), 0);
-  std::vector<uint8_t> task_locked(static_cast<size_t>(m), 0);
-  std::vector<uint8_t> task_expired_traced(static_cast<size_t>(m), 0);
-  // Completion time of each assigned task (+inf when unassigned).
-  std::vector<double> completion(
-      static_cast<size_t>(m), std::numeric_limits<double>::infinity());
+  market.tasks.assign(static_cast<size_t>(m), TaskStatus::kUnassigned);
+  market.assigned_at.assign(static_cast<size_t>(m),
+                            std::numeric_limits<double>::infinity());
+  market.completion = market.assigned_at;
   std::vector<PendingDispatch> pending;
 
   // The timeline: from the earliest arrival to the latest moment anything
@@ -78,10 +78,29 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
     t_end = std::max(t_end, t.Expiry());
   }
 
-  const bool completed_mode =
-      options_.dependency_mode == SimulatorOptions::DependencyMode::kCompleted;
-  const bool event_driven =
-      options_.batch_trigger == SimulatorOptions::BatchTrigger::kEventDriven;
+  // Present workers and open tasks, in ascending id order (DESIGN.md §18),
+  // admitted from arrival orders built once per Run. Ids are dense, so an
+  // entity's index in the catalog is its id.
+  auto arrival_order = [](const auto& entities) {
+    std::vector<uint64_t> keys;
+    keys.reserve(entities.size());
+    for (const auto& e : entities) keys.push_back(ArrivalKey(e.start_time));
+    return ArrivalOrder(keys);
+  };
+  LiveSet live_workers(arrival_order(instance_.workers()));
+  LiveSet live_tasks(arrival_order(instance_.tasks()));
+  auto worker_start = [&](int32_t i) { return instance_.worker(i).start_time; };
+  auto task_start = [&](int32_t t) { return instance_.task(t).start_time; };
+
+  // Dependency credit: credited[t] != 0 once task t's assignment satisfies
+  // its dependents. An assignment queues its credit instant — the batch it
+  // was made in (kAssigned: credited from the next batch on) or its
+  // completion (kCompleted) — and each batch first credits every instant it
+  // has reached. The vector is lent to each batch's problem as
+  // assigned_before.
+  std::vector<uint8_t> credited(static_cast<size_t>(m), 0);
+  using Credit = std::pair<double, core::TaskId>;
+  std::priority_queue<Credit, std::vector<Credit>, std::greater<>> credits;
 
   // Event-driven agenda: batch instants seeded with every arrival; commits
   // and camps push completion / expiry instants as they happen.
@@ -126,6 +145,15 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
   }
 
   double now = t_begin;
+  auto record_assigned = [&](core::TaskId t, double done) {
+    market.tasks[static_cast<size_t>(t)] = TaskStatus::kAssigned;
+    market.assigned_at[static_cast<size_t>(t)] = now;
+    market.completion[static_cast<size_t>(t)] = done;
+    const double at = completed_mode ? done : now;
+    // A NaN completion never satisfies `completion <= now`; kept out of
+    // the heap, whose order it would break.
+    if (!std::isnan(at)) credits.push({at, t});
+  };
   // Runs once per batch boundary (before the clock advances): rotates the
   // sketch windows so windowed quantiles mean "last N batches", feeds the
   // time series one delta snapshot, and heartbeats the watchdog.
@@ -183,12 +211,9 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
     int batch_score = 0;
 
     // Dependency credit available at this batch.
-    std::vector<uint8_t> credited(static_cast<size_t>(m), 0);
-    for (int t = 0; t < m; ++t) {
-      if (!task_assigned[static_cast<size_t>(t)]) continue;
-      if (!completed_mode || completion[static_cast<size_t>(t)] <= now) {
-        credited[static_cast<size_t>(t)] = 1;
-      }
+    while (!credits.empty() && credits.top().first <= now) {
+      credited[static_cast<size_t>(credits.top().second)] = 1;
+      credits.pop();
     }
 
     // Resolve binding dispatches to blocked tasks (kWait): conduct the task
@@ -198,7 +223,7 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
       std::vector<PendingDispatch> still_pending;
       for (const PendingDispatch& pd : pending) {
         const core::Task& task = instance_.task(pd.task);
-        WorkerRuntime& rt = runtime[static_cast<size_t>(pd.worker)];
+        WorkerRuntime& rt = market.workers[static_cast<size_t>(pd.worker)];
         bool deps_met = true;
         for (core::TaskId f : instance_.DepClosure(pd.task)) {
           if (!credited[static_cast<size_t>(f)]) {
@@ -209,9 +234,7 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
         if (deps_met && now >= pd.arrival && now <= task.Expiry()) {
           // Service finally starts; the late pair scores now.
           const double done = now + options_.service_time;
-          task_assigned[static_cast<size_t>(pd.task)] = 1;
-          task_locked[static_cast<size_t>(pd.task)] = 0;
-          completion[static_cast<size_t>(pd.task)] = done;
+          record_assigned(pd.task, done);
           rt.busy_until = done;
           rt.camped = false;
           ++batch_score;
@@ -234,8 +257,10 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
             tracer->OnDecision(pd.task, batch_seq, now, /*served=*/true);
           }
         } else if (now > task.Expiry()) {
-          // The task expired under the camped worker; both are wasted.
-          task_locked[static_cast<size_t>(pd.task)] = 0;
+          // The task expired under the camped worker; both are wasted. The
+          // status keeps the decided task off the market for good.
+          market.tasks[static_cast<size_t>(pd.task)] =
+              TaskStatus::kCampExpired;
           rt.camped = false;
           rt.busy_until = now;
           DASC_METRIC_COUNTER_INC("sim_camps_expired_total");
@@ -263,42 +288,37 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
     problem.params = options_.params;
     problem.in_batch_dependency_credit = !completed_mode;
 
-    for (int i = 0; i < n; ++i) {
+    live_workers.Advance(now, worker_start, [&](int32_t i) {
       const core::Worker& w = instance_.worker(i);
-      const WorkerRuntime& rt = runtime[static_cast<size_t>(i)];
-      if (w.start_time > now || w.Deadline() < now) continue;  // not present
-      if (rt.camped || rt.busy_until > now) continue;          // committed
-      core::WorkerState state;
-      state.id = i;
-      state.location = rt.location;
-      state.remaining_distance =
-          options_.budget_mode == SimulatorOptions::BudgetMode::kCumulative
-              ? rt.budget
-              : w.max_distance;
-      problem.workers.push_back(state);
-    }
-
-    problem.assigned_before = credited;
-    for (int t = 0; t < m; ++t) {
-      const core::Task& task = instance_.task(t);
-      if (task_assigned[static_cast<size_t>(t)] ||
-          task_locked[static_cast<size_t>(t)]) {
-        continue;
+      if (w.Deadline() < now) return false;  // departed
+      const WorkerRuntime& rt = market.workers[static_cast<size_t>(i)];
+      if (!rt.camped && !(rt.busy_until > now)) {  // idle
+        problem.workers.push_back(
+            {i, rt.location,
+             market.cumulative_budget ? rt.budget : w.max_distance});
       }
-      if (task.start_time > now || task.Expiry() < now) {
-        // Open-window expiry is the simulator's unserved terminal (recorded
-        // on the first batch that sees the task dead).
-        if (tracer != nullptr && task.Expiry() < now &&
-            !task_expired_traced[static_cast<size_t>(t)]) {
-          task_expired_traced[static_cast<size_t>(t)] = 1;
+      return true;
+    });
+
+    problem.assigned_before = std::move(credited);
+    live_tasks.Advance(now, task_start, [&](int32_t t) {
+      if (market.tasks[static_cast<size_t>(t)] != TaskStatus::kUnassigned) {
+        return false;
+      }
+      if (instance_.task(t).Expiry() < now) {
+        // Open-window expiry is the simulator's unserved terminal, recorded
+        // on the first batch that sees the task dead.
+        if (tracer != nullptr) {
           tracer->OnDecision(t, batch_seq, now, /*served=*/false);
           ++batch_decisions;
         }
-        continue;
+        return false;
       }
       problem.open_tasks.push_back(t);
       if (tracer != nullptr) tracer->OnAdmit(t, batch_seq);
-    }
+      return true;
+    });
+    if (options_.audit) auditor.AuditMarket(problem, market, batch_seq);
 
     // Queue depths an ops dashboard would alert on: how many idle workers
     // and open tasks this batch saw.
@@ -328,6 +348,7 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
         result.score += batch_score;
         DASC_METRIC_COUNTER_ADD("sim_score_total", batch_score);
       }
+      credited = std::move(problem.assigned_before);
       tracer_batch_end(batch_seq, problem);
       batch_boundary(batch_seq);
       if (!advance()) break;
@@ -390,7 +411,7 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
                             static_cast<int64_t>(valid.size()));
 
     for (const auto& [wid, tid] : valid.pairs()) {
-      WorkerRuntime& rt = runtime[static_cast<size_t>(wid)];
+      WorkerRuntime& rt = market.workers[static_cast<size_t>(wid)];
       const core::Worker& w = instance_.worker(wid);
       const core::Task& task = instance_.task(tid);
       const double dist =
@@ -400,8 +421,7 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
       rt.location = task.location;
       rt.budget -= dist;
       rt.busy_until = done;
-      task_assigned[static_cast<size_t>(tid)] = 1;
-      completion[static_cast<size_t>(tid)] = done;
+      record_assigned(tid, done);
       ++result.completed_tasks;
       latency_sum += now - task.start_time;
       result.last_completion_time =
@@ -427,7 +447,7 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
       // task and camps there until the dependencies are satisfied or the
       // task expires; the task is locked away from other workers meanwhile.
       for (const auto& [wid, tid] : split.invalid.pairs()) {
-        WorkerRuntime& rt = runtime[static_cast<size_t>(wid)];
+        WorkerRuntime& rt = market.workers[static_cast<size_t>(wid)];
         const core::Worker& w = instance_.worker(wid);
         const core::Task& task = instance_.task(tid);
         const double dist =
@@ -435,7 +455,7 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
         rt.location = task.location;
         rt.budget -= dist;
         rt.camped = true;
-        task_locked[static_cast<size_t>(tid)] = 1;
+        market.tasks[static_cast<size_t>(tid)] = TaskStatus::kCamped;
         pending.push_back({wid, tid, now + dist / w.velocity});
         ++result.wasted_dispatches;
         DASC_METRIC_COUNTER_INC("sim_camp_dispatches_total");
@@ -452,6 +472,7 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
       }
     }
 
+    credited = std::move(problem.assigned_before);
     tracer_batch_end(batch_seq, problem);
     batch_boundary(batch_seq);
     if (!advance()) break;

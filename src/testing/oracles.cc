@@ -1,6 +1,7 @@
 #include "testing/oracles.h"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -473,6 +474,62 @@ Status CheckIncrementalCandidatesEquivalence(const OracleContext& ctx) {
   return Status::OK();
 }
 
+// ---------------------------------------------------------------------------
+// Replay market oracle.
+// ---------------------------------------------------------------------------
+
+// The replay simulator assembles each batch's idle workers, open tasks and
+// dependency credit from live sets and a credit heap; under audit the
+// BatchAuditor re-derives all three with a full-catalog scan and counts any
+// difference as a violation (AuditMarket), alongside its usual re-check of
+// every committed pair. Every trigger x dependency mode x budget mode x
+// invalid-pair handling combination is replayed, with the benchmark's
+// allocator (game) and a dependency-oblivious one (closest) that makes
+// workers camp. A short batch interval and a service time make workers
+// leave, return busy, camp and drop within the generated time spread.
+Status CheckReplayMarketAudit(const OracleContext& ctx) {
+  using Options = sim::SimulatorOptions;
+  for (const char* name : {"game", "closest"}) {
+    for (const auto trigger : {Options::BatchTrigger::kFixedInterval,
+                               Options::BatchTrigger::kEventDriven}) {
+      for (const auto deps : {Options::DependencyMode::kAssigned,
+                              Options::DependencyMode::kCompleted}) {
+        for (const auto budget :
+             {Options::BudgetMode::kPerTrip, Options::BudgetMode::kCumulative}) {
+          for (const auto handling : {Options::InvalidPairHandling::kWait,
+                                      Options::InvalidPairHandling::kDrop}) {
+            Options options;
+            options.batch_trigger = trigger;
+            options.batch_interval = 0.5;
+            options.service_time = 0.25;
+            options.dependency_mode = deps;
+            options.budget_mode = budget;
+            options.invalid_pair_handling = handling;
+            options.audit = true;
+            options.audit_options.fail_hard = false;
+            Result<std::unique_ptr<core::Allocator>> alloc =
+                algo::CreateAllocator(name, ctx.seed);
+            if (!alloc.ok()) return alloc.status();
+            const sim::SimulationResult result =
+                sim::Simulator(*ctx.instance, options).Run(**alloc);
+            if (result.audit.violations > 0) {
+              return Status::Internal(
+                  std::string(name) + " replay (trigger " +
+                  std::to_string(static_cast<int>(trigger)) + ", deps " +
+                  std::to_string(static_cast<int>(deps)) + ", budget " +
+                  std::to_string(static_cast<int>(budget)) + ", invalid " +
+                  std::to_string(static_cast<int>(handling)) + "): " +
+                  std::to_string(result.audit.violations) +
+                  " audit violation(s); see the market audit warnings");
+            }
+          }
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Assignment> RunCommitted(const BatchProblem& problem,
@@ -517,6 +574,10 @@ const std::vector<Oracle>& AllOracles() {
        "from-scratch rebuild on every batch, and the run's score matches the "
        "scratch path",
        CheckIncrementalCandidatesEquivalence},
+      {"replay-market-audit",
+       "replayed batches' idle workers, open tasks and dependency credit "
+       "match a full-catalog scan under every simulator mode",
+       CheckReplayMarketAudit},
       {"warm-cold-equivalence",
        "incremental / warm-start greedy commits bit-identical assignments to "
        "the cold re-solve path; delta repair preserves the score",

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "algo/game.h"
@@ -178,6 +179,97 @@ TEST(BatchAuditorTest, DetectsOutOfScopePair) {
 // End-to-end through the simulator: a gg run over a random dynamic workload
 // must audit cleanly, and the measured per-batch gap must sit at or above
 // the paper's 1/2 guarantee for DASC_Game.
+// The market audit: a batch assembled from the replay's market state must
+// match a full scan of the catalog.
+class MarketAuditTest : public ::testing::Test {
+ protected:
+  MarketAuditTest()
+      : instance_(MakeInstance()), problem_(FullScan(instance_, market_)) {}
+
+  static core::Instance MakeInstance() {
+    auto instance = core::Instance::Create(
+        {testing::MakeWorker(0, 0, 0, {0}, 0.0, 10.0),
+         testing::MakeWorker(1, 1, 0, {0}, 0.0, 10.0),
+         testing::MakeWorker(2, 2, 0, {0}, 0.0, 10.0),
+         testing::MakeWorker(3, 3, 0, {0}, 0.0, 1.0)},  // departed at 1
+        {testing::MakeTask(0, 0, 1, 0, {}, 0.0, 10.0),
+         testing::MakeTask(1, 1, 1, 0, {0}, 0.0, 10.0),
+         testing::MakeTask(2, 2, 1, 0, {}, 0.0, 1.0),    // expired at 1
+         testing::MakeTask(3, 3, 1, 0, {}, 9.0, 10.0)},  // arrives at 9
+        1);
+    DASC_CHECK(instance.ok());
+    return std::move(*instance);
+  }
+
+  // The expected batch at now = 5 with every worker idle and no task
+  // assigned: workers 0-2, tasks 0-1, no credit.
+  static core::BatchProblem FullScan(const core::Instance& instance,
+                                     MarketState& market) {
+    for (const core::Worker& w : instance.workers()) {
+      market.workers.push_back({w.location, w.max_distance});
+    }
+    market.tasks.assign(4, TaskStatus::kUnassigned);
+    market.assigned_at.assign(4, std::numeric_limits<double>::infinity());
+    market.completion = market.assigned_at;
+    core::BatchProblem problem;
+    problem.instance = &instance;
+    problem.now = 5.0;
+    for (core::WorkerId w : {0, 1, 2}) {
+      problem.workers.push_back(
+          core::WorkerState::Initial(instance.worker(w)));
+    }
+    problem.open_tasks = {0, 1};
+    problem.assigned_before.assign(4, 0);
+    return problem;
+  }
+
+  MarketState market_;
+  core::Instance instance_;
+  core::BatchProblem problem_;
+};
+
+TEST_F(MarketAuditTest, MatchingMarketIsClean) {
+  BatchAuditor auditor(Soft());
+  EXPECT_EQ(auditor.AuditMarket(problem_, market_, 0), 0);
+  EXPECT_EQ(auditor.summary().violations, 0);
+}
+
+TEST_F(MarketAuditTest, FlagsDroppedWorkerAndKeptExpiredTask) {
+  problem_.workers.erase(problem_.workers.begin() + 1);  // idle worker 1
+  problem_.open_tasks.push_back(2);                      // expired task 2
+  BatchAuditor auditor(Soft());
+  EXPECT_EQ(auditor.AuditMarket(problem_, market_, 0), 2);
+  EXPECT_EQ(auditor.summary().violations, 2);
+}
+
+TEST_F(MarketAuditTest, FlagsStaleStateAndCredit) {
+  // Worker 0 moved and spent budget; task 0 was assigned at 2 and
+  // completed at 3, which credits it under both dependency modes and takes
+  // it off the market.
+  market_.cumulative_budget = true;
+  market_.completed_mode = true;
+  market_.workers[0].location = {0.5, 0.5};
+  market_.workers[0].budget = 2.0;
+  market_.tasks[0] = TaskStatus::kAssigned;
+  market_.assigned_at[0] = 2.0;
+  market_.completion[0] = 3.0;
+  BatchAuditor auditor(Soft());
+  // Unchanged batch: stale worker 0, task 0 still open, credit missing.
+  EXPECT_EQ(auditor.AuditMarket(problem_, market_, 0), 3);
+  problem_.workers[0].location = {0.5, 0.5};
+  problem_.workers[0].remaining_distance = 2.0;
+  problem_.open_tasks = {1};
+  problem_.assigned_before[0] = 1;
+  EXPECT_EQ(auditor.AuditMarket(problem_, market_, 1), 0);
+  // Not completed yet at 5: no credit in kCompleted mode.
+  market_.completion[0] = 6.0;
+  EXPECT_EQ(auditor.AuditMarket(problem_, market_, 2), 1);
+  // Assigned by a camp resolved in this very batch: credited from the next.
+  market_.assigned_at[0] = 5.0;
+  market_.completion[0] = 5.0;
+  EXPECT_EQ(auditor.AuditMarket(problem_, market_, 3), 1);
+}
+
 TEST(SimulatorAuditTest, GameGreedyMeetsTheHalfBound) {
   const core::Instance instance = testing::RandomInstance(11);
   SimulatorOptions options;

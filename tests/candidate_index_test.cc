@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -248,6 +250,157 @@ TEST(CandidateIndexTest, MixedRemainingDistances) {
   problem.workers[17].remaining_distance = 0.3;
   problem.workers[42].remaining_distance = 0.0;
   EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+// ------------------------------------------ the probe kernel's edges ---
+//
+// The index tests each entry with ServeFits over the packed task row; the
+// skill is implied by the bucket. These cases sit on each of its
+// comparisons, where the exhaustive reference (CanServe) decides.
+
+// A task at (x, 0) needing skill 0, starting at `start` with `wait`.
+Task TimedTask(TaskId id, double x, double start, double wait) {
+  return MakeTask(id, x, 0.0, 0, {}, start, wait);
+}
+
+TEST(ProbeKernelTest, TasksNotYetArrivedAreSkipped) {
+  // AllAt opens every task; at now = 1 the ones starting later fail.
+  const Instance instance = MakeInstance(
+      {MakeWorker(0, 0, 0, {0}, 0.0, 10.0, 1.0, 10.0)},
+      {TimedTask(0, 1, 0.5, 5), TimedTask(1, 1, 1.0, 5),
+       TimedTask(2, 1, 1.5, 5), TimedTask(3, 1, 1.0 + 1e-12, 5)},
+      1);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 1.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 2);
+  EXPECT_EQ(BuildCandidates(problem).worker_tasks[0],
+            (std::vector<TaskId>{0, 1}));
+}
+
+TEST(ProbeKernelTest, WorkerPastItsDeadlineServesNothing) {
+  // Deadlines 4 (departed at now = 5) and exactly 5 (still present).
+  const Instance instance = MakeInstance(
+      {MakeWorker(0, 0, 0, {0}, 0.0, 4.0, 1.0, 10.0),
+       MakeWorker(1, 0, 0, {0}, 1.0, 4.0, 1.0, 10.0)},
+      {TimedTask(0, 1, 0, 10), TimedTask(1, 2, 0, 10)}, 1);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 5.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 2);
+  EXPECT_TRUE(BuildCandidates(problem).worker_tasks[0].empty());
+}
+
+TEST(ProbeKernelTest, TaskStartingAfterTheWorkerDeadline) {
+  // Worker deadline 3; at now = 3 a task starting at 3 is in the window and
+  // one starting just after it is not.
+  const Instance instance = MakeInstance(
+      {MakeWorker(0, 0, 0, {0}, 0.0, 3.0, 1.0, 10.0)},
+      {TimedTask(0, 1, 3.0, 5), TimedTask(1, 1, 3.0 + 1e-9, 5),
+       TimedTask(2, 1, 4.0, 5)},
+      1);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 3.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 1);
+}
+
+TEST(ProbeKernelTest, DistanceEqualToTheRemainingBudget) {
+  // 3-4-5 triangles: distance exactly 5 (feasible) and the next double up.
+  const Instance instance = MakeInstance(
+      {MakeWorker(0, 0, 0, {0}, 0.0, 100.0, 1.0, 5.0)},
+      {MakeTask(0, 3, 4, 0), MakeTask(1, -3, -4, 0), MakeTask(2, 5, 0, 0),
+       MakeTask(3, std::nextafter(5.0, 6.0), 0, 0), MakeTask(4, 0, 5.5, 0)},
+      1);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 3);
+  problem.workers[0].remaining_distance = std::nextafter(5.0, 0.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 0);
+}
+
+TEST(ProbeKernelTest, ArrivalEqualToExpiry) {
+  // Velocity 2 from x = 0: the task at x = 4 is reached at now + 2. Expiry
+  // exactly then is feasible; a hair earlier is not.
+  const Instance instance = MakeInstance(
+      {MakeWorker(0, 0, 0, {0}, 0.0, 100.0, 2.0, 100.0)},
+      {TimedTask(0, 4, 0.0, 3.0), TimedTask(1, 4, 0.0, 3.0 - 1e-12),
+       TimedTask(2, 4, 1.0, 2.0), TimedTask(3, 0, 1.0, 0.0)},
+      1);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 1.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 3);
+  EXPECT_EQ(BuildCandidates(problem).worker_tasks[0],
+            (std::vector<TaskId>{0, 2, 3}));
+}
+
+TEST(ProbeKernelTest, InfiniteReach) {
+  // One unbounded worker makes the cell one cell; a NaN budget never fails
+  // the budget comparison either, and skips the reach box in a many-cell
+  // grid set by the finite workers.
+  const Instance instance = ClusteredInstance(12, 60, 200, 3, 0.05);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.workers[3].remaining_distance =
+      std::numeric_limits<double>::infinity();
+  const int64_t unbounded = ExpectMatchesExhaustive(problem);
+  EXPECT_GT(unbounded, 0);
+  problem.workers[3].remaining_distance = 0.05;
+  problem.workers[5].remaining_distance =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+// CanServe (the index's probe predicate plus the skill test) agrees with
+// ClassifyServe on a grid of values on and around every comparison, for
+// every distance kind, and the index agrees with the exhaustive scan there.
+TEST(ProbeKernelTest, CanServeMatchesClassifyServeOnBoundaryGrid) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> times = {0.0, 1.0, 2.0};
+  std::vector<Worker> workers;
+  for (double start : times) {
+    for (double wait : {0.0, 1.0}) {
+      for (double velocity : {0.5, 1.0}) {
+        workers.push_back(MakeWorker(static_cast<WorkerId>(workers.size()),
+                                     0.0, 0.0, {0, 1}, start, wait, velocity,
+                                     1.0));
+      }
+    }
+  }
+  std::vector<Task> tasks;
+  for (double x : {0.0, 0.5, 1.0, std::nextafter(1.0, 2.0), 2.0}) {
+    for (double start : times) {
+      for (double wait : {0.0, 1.0, 2.0}) {
+        tasks.push_back(MakeTask(static_cast<TaskId>(tasks.size()), x, 0.0,
+                                 static_cast<SkillId>(tasks.size() % 3),
+                                 {}, start, wait));
+      }
+    }
+  }
+  const Instance instance = MakeInstance(workers, tasks, 3);
+  geo::RoadNetwork::Options road_options;
+  road_options.grid_width = 4;
+  road_options.grid_height = 4;
+  const geo::RoadNetwork network =
+      geo::RoadNetwork::MakeGrid(-1.0, -1.0, 3.0, 1.0, road_options);
+  for (geo::DistanceKind kind :
+       {geo::DistanceKind::kEuclidean, geo::DistanceKind::kManhattan,
+        geo::DistanceKind::kHaversineKm, geo::DistanceKind::kRoadNetwork}) {
+    FeasibilityParams params;
+    params.distance_kind = kind;
+    params.road_network = &network;
+    int64_t feasible = 0;
+    for (double now : {0.0, 1.0, 2.0, 3.0}) {
+      BatchProblem problem = BatchProblem::AllAt(instance, now);
+      problem.params = params;
+      for (size_t i = 0; i < problem.workers.size(); ++i) {
+        WorkerState& state = problem.workers[i];
+        state.remaining_distance = std::vector<double>{
+            0.0, 1.0, inf, 0.5}[i % 4];
+        for (const Task& t : instance.tasks()) {
+          const bool can = CanServe(instance, state, t.id, now, params);
+          EXPECT_EQ(can, ClassifyServe(instance, state, t.id, now, params) ==
+                             ServeFailure::kNone)
+              << "kind " << static_cast<int>(kind) << " now " << now
+              << " worker " << state.id << " task " << t.id;
+          feasible += can ? 1 : 0;
+        }
+      }
+      ExpectMatchesExhaustive(problem);
+    }
+    EXPECT_GT(feasible, 0) << "kind " << static_cast<int>(kind);
+  }
 }
 
 // ---------------------------------------------- the cell grid itself ---

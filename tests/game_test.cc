@@ -176,6 +176,42 @@ TEST(GameUtilityTest, AlphaSplitsSelfAndForwardedShares) {
   EXPECT_NEAR(total, 2.0, 1e-9);  // decomposition must still sum to 2
 }
 
+// A batch where only t2 is open: t1 (its dependency) is closed. The state
+// behind the profile helpers initialises dependency counts for open tasks
+// only, so t2's count must still see t1 as unmet unless it was assigned
+// before the batch.
+TEST(GameUtilityTest, ProfileHelpersReadOpenTasksOnly) {
+  const Instance instance = Example1();
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.open_tasks = {1};
+  const std::vector<core::TaskId> choice = {1, core::kInvalidId,
+                                            core::kInvalidId};
+  EXPECT_NEAR(ProfileUtilitySum(problem, choice, 2.0), 0.0, 1e-9);
+  EXPECT_NEAR(ProfileWorkerUtility(problem, choice, 0, 1, 2.0), 0.0, 1e-9);
+  problem.assigned_before[0] = 1;
+  // Eq. 3 self share (α-1)/α; t2's dependent t3 is closed, so nothing is
+  // forwarded.
+  EXPECT_NEAR(ProfileUtilitySum(problem, choice, 2.0), 0.5, 1e-9);
+  EXPECT_NEAR(ProfileWorkerUtility(problem, choice, 0, 1, 2.0), 0.5, 1e-9);
+}
+
+// A profile naming a task that is not open would read a count the state
+// never initialised; the helpers refuse it.
+TEST(GameUtilityDeathTest, ProfileHelpersRejectClosedTasks) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Instance instance = Example1();
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.open_tasks = {1};
+  const std::vector<core::TaskId> choice = {0, core::kInvalidId,
+                                            core::kInvalidId};
+  EXPECT_DEATH(ProfileUtilitySum(problem, choice, 2.0), "not open");
+  EXPECT_DEATH(ProfileWorkerUtility(problem, choice, 1, 1, 2.0), "not open");
+  EXPECT_DEATH(ProfileWorkerUtility(problem, {1, core::kInvalidId,
+                                              core::kInvalidId},
+                                    0, 3, 2.0),
+               "not open");
+}
+
 // Property: every game variant emits assignments that, after ValidPairs,
 // audit clean; and the equilibrium's valid score is never worse than a
 // random profile's.

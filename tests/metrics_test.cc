@@ -240,6 +240,11 @@ TEST(MetricsMacroTest, KillSwitchSuppressesUpdates) {
 // compiled into metrics_test_tsan so the instrumentation is race-checked
 // against the pool's own locking.
 TEST(ThreadPoolMetricsTest, PublishesQueueDepthAndWaitHistogram) {
+  // Earlier ParallelFor calls can leave helper jobs queued on the global
+  // pool, whose late dequeues would land in the histogram after the Reset
+  // below. Resizing the pool destroys it, which drains its queue first.
+  SetThreads(1);
+  SetThreads(0);
   GlobalMetrics().Reset();
   SetMetricsEnabled(true);
   std::atomic<int> ran{0};

@@ -11,6 +11,7 @@
 #include "gen/synthetic.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
+#include "sim/task_trace.h"
 #include "test_util.h"
 #include "util/metrics.h"
 
@@ -390,6 +391,35 @@ TEST(TraceTest, CampEventsForBaselines) {
   EXPECT_LE(trace.Count(TraceEventKind::kCampResolved) +
                 trace.Count(TraceEventKind::kCampExpired),
             result.wasted_dispatches);
+}
+
+TEST(TraceTest, CampExpiryCountsOneDecision) {
+  // w0 camps on t1, whose dependency t0 needs a skill nobody has; t1 then
+  // expires under the camp. Each task is decided exactly once, and the
+  // tracer's per-batch decision counts must sum to the task count.
+  auto instance = core::Instance::Create(
+      {MakeWorker(0, 0, 0, {0}, 0.0, 100.0, /*velocity=*/10.0, 100.0)},
+      {MakeTask(0, 1, 0, 1, {}, 0.0, 4.0),
+       MakeTask(1, 2, 0, 0, {0}, 0.0, 4.0)},
+      2);
+  ASSERT_TRUE(instance.ok());
+  SimulatorOptions options;
+  options.batch_interval = 1.0;
+  Trace trace;
+  options.trace = &trace;
+  TaskTracer tracer;
+  options.tracer = &tracer;
+  algo::ClosestAllocator closest;
+  const SimulationResult result =
+      Simulator(*instance, options).Run(closest);
+  EXPECT_EQ(result.wasted_dispatches, 1);
+  EXPECT_EQ(trace.Count(TraceEventKind::kCampExpired), 1);
+  int64_t decisions = 0;
+  for (const TraceBatchRecord& batch : tracer.BatchRecords()) {
+    decisions += batch.decisions;
+  }
+  EXPECT_EQ(decisions, instance->num_tasks());
+  EXPECT_EQ(tracer.stats().traces_decided, instance->num_tasks());
 }
 
 TEST(TraceTest, CsvRoundContainsHeaderAndRows) {
