@@ -19,7 +19,7 @@ core::Assignment ClosestAllocator::Allocate(
     const core::WorkerState& state = problem.workers[i];
     core::TaskId best = core::kInvalidId;
     double best_dist = std::numeric_limits<double>::infinity();
-    for (core::TaskId t : candidates.worker_tasks[i]) {
+    for (core::TaskId t : candidates.WorkerTasks(i)) {
       if (taken[static_cast<size_t>(t)]) continue;
       const double dist =
           core::ServeDistance(instance, state, t, problem.params);
@@ -46,7 +46,7 @@ core::Assignment RandomAllocator::Allocate(const core::BatchProblem& problem) {
   std::vector<core::TaskId> free_tasks;
   for (size_t i = 0; i < problem.workers.size(); ++i) {
     free_tasks.clear();
-    for (core::TaskId t : candidates.worker_tasks[i]) {
+    for (core::TaskId t : candidates.WorkerTasks(i)) {
       if (!taken[static_cast<size_t>(t)]) free_tasks.push_back(t);
     }
     if (free_tasks.empty()) continue;

@@ -37,8 +37,8 @@ class DfsSearch {
       worker_order_[i] = static_cast<int>(i);
     }
     std::sort(worker_order_.begin(), worker_order_.end(), [&](int a, int b) {
-      return candidates_.worker_tasks[static_cast<size_t>(a)].size() <
-             candidates_.worker_tasks[static_cast<size_t>(b)].size();
+      return candidates_.WorkerTasks(static_cast<size_t>(a)).size() <
+             candidates_.WorkerTasks(static_cast<size_t>(b)).size();
     });
     taken_.assign(static_cast<size_t>(instance_.num_tasks()), 0);
     best_score_ = -1;
@@ -94,7 +94,7 @@ class DfsSearch {
       if (bound <= best_score_) return;
     }
     const int wi = worker_order_[level];
-    for (TaskId t : candidates_.worker_tasks[static_cast<size_t>(wi)]) {
+    for (TaskId t : candidates_.WorkerTasks(static_cast<size_t>(wi))) {
       if (taken_[static_cast<size_t>(t)]) continue;
       taken_[static_cast<size_t>(t)] = 1;
       stack_.emplace_back(wi, t);

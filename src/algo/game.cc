@@ -178,7 +178,7 @@ core::Assignment GameAllocator::Allocate(const core::BatchProblem& problem) {
   // Active players: workers with at least one feasible task.
   std::vector<int> players;
   for (size_t i = 0; i < problem.workers.size(); ++i) {
-    if (!candidates.worker_tasks[i].empty()) {
+    if (!candidates.WorkerTasks(i).empty()) {
       players.push_back(static_cast<int>(i));
     }
   }
@@ -204,7 +204,7 @@ core::Assignment GameAllocator::Allocate(const core::BatchProblem& problem) {
   }
   for (int wi : players) {
     if (choice[static_cast<size_t>(wi)] == kNoTask) {
-      const auto& options = candidates.worker_tasks[static_cast<size_t>(wi)];
+      const auto options = candidates.WorkerTasks(static_cast<size_t>(wi));
       choice[static_cast<size_t>(wi)] = options[static_cast<size_t>(
           rng_.UniformInt(0, static_cast<int64_t>(options.size()) - 1))];
     }
@@ -227,7 +227,7 @@ core::Assignment GameAllocator::Allocate(const core::BatchProblem& problem) {
             state.Utility(current, options_.alpha, options_.utility_variant);
         const double current_utility = best_utility;
         int best_contention = state.count(current) + 1;
-        for (TaskId s : candidates.worker_tasks[static_cast<size_t>(wi)]) {
+        for (TaskId s : candidates.WorkerTasks(static_cast<size_t>(wi))) {
           if (s == current) continue;
           const double u =
               state.Utility(s, options_.alpha, options_.utility_variant);

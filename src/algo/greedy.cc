@@ -246,7 +246,7 @@ void GreedyRun::BuildAssocSets() {
     // A member with no feasible worker at all blocks the set permanently
     // (candidate sets only shrink during the run).
     for (TaskId m : set.members) {
-      if (candidates_.task_workers[static_cast<size_t>(m)].empty()) {
+      if (candidates_.TaskWorkers(m).empty()) {
         servable = false;
         break;
       }
@@ -262,7 +262,7 @@ void GreedyRun::BuildAssocSets() {
   for (size_t si = 0; si < sets_.size(); ++si) {
     for (TaskId m : sets_[si].members) {
       task_sets_[static_cast<size_t>(m)].push_back(static_cast<int>(si));
-      for (int wi : candidates_.task_workers[static_cast<size_t>(m)]) {
+      for (int wi : candidates_.TaskWorkers(m)) {
         if (worker_stamp[static_cast<size_t>(wi)] == static_cast<int>(si)) {
           continue;  // already recorded for this set
         }

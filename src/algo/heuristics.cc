@@ -24,7 +24,7 @@ core::Assignment MaxMatchingAllocator::Allocate(
   matching::HopcroftKarp hk(static_cast<int>(problem.workers.size()),
                             static_cast<int>(problem.open_tasks.size()));
   for (size_t i = 0; i < problem.workers.size(); ++i) {
-    for (core::TaskId t : candidates.worker_tasks[i]) {
+    for (core::TaskId t : candidates.WorkerTasks(i)) {
       hk.AddEdge(static_cast<int>(i), column_of.at(t));
     }
   }
@@ -102,7 +102,7 @@ core::Assignment UrgencyAllocator::Allocate(
       // Nearest available feasible worker.
       int best_worker = -1;
       double best_dist = std::numeric_limits<double>::infinity();
-      for (int wi : candidates.task_workers[static_cast<size_t>(t)]) {
+      for (int wi : candidates.TaskWorkers(t)) {
         if (worker_used[static_cast<size_t>(wi)]) continue;
         const double dist = core::ServeDistance(
             instance, problem.workers[static_cast<size_t>(wi)], t,

@@ -139,7 +139,7 @@ LocalSearchStats ImproveAssignment(const core::BatchProblem& problem,
       if (current != core::kInvalidId) state.Remove(current);
       TaskId best = current;
       int best_delta = 0;
-      for (TaskId t : candidates.worker_tasks[wi]) {
+      for (TaskId t : candidates.WorkerTasks(wi)) {
         if (t == current || state.occupied(t)) continue;
         const int delta = state.AddGain(t) - loss;
         if (delta > best_delta) {

@@ -1,5 +1,6 @@
 #include "core/assignment.h"
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,18 +11,39 @@ namespace dasc::core {
 
 namespace {
 
+// For each entry of `ids`, the rank of its value among the distinct values:
+// a dense local id, so per-batch bookkeeping is sized by the batch.
+std::vector<int32_t> DenseIds(std::vector<int32_t> ids) {
+  std::vector<int32_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  for (int32_t& id : ids) {
+    id = static_cast<int32_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), id) - sorted.begin());
+  }
+  return ids;
+}
+
 // Deduplicates pairs so that each worker and each task appears at most once
 // (first occurrence wins), returning kept indices.
 std::vector<size_t> ExclusivePairIndices(const Assignment& assignment) {
-  std::unordered_set<WorkerId> used_workers;
-  std::unordered_set<TaskId> used_tasks;
-  std::vector<size_t> kept;
   const auto& pairs = assignment.pairs();
+  std::vector<int32_t> workers(pairs.size());
+  std::vector<int32_t> tasks(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [w, t] = pairs[i];
-    if (used_workers.contains(w) || used_tasks.contains(t)) continue;
-    used_workers.insert(w);
-    used_tasks.insert(t);
+    workers[i] = pairs[i].first;
+    tasks[i] = pairs[i].second;
+  }
+  workers = DenseIds(std::move(workers));
+  tasks = DenseIds(std::move(tasks));
+  std::vector<uint8_t> used_workers(pairs.size(), 0);
+  std::vector<uint8_t> used_tasks(pairs.size(), 0);
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    uint8_t& w = used_workers[static_cast<size_t>(workers[i])];
+    uint8_t& t = used_tasks[static_cast<size_t>(tasks[i])];
+    if (w != 0 || t != 0) continue;
+    w = t = 1;
     kept.push_back(i);
   }
   return kept;
@@ -35,12 +57,13 @@ SplitAssignment SplitPairs(const BatchProblem& problem,
   const Instance& instance = *problem.instance;
   const auto kept = ExclusivePairIndices(assignment);
 
-  // Tasks assigned within this batch (after exclusivity dedup).
-  std::vector<uint8_t> in_batch(static_cast<size_t>(instance.num_tasks()), 0);
+  // Tasks assigned within this batch (after exclusivity dedup), sorted for
+  // lookup.
+  std::vector<TaskId> in_batch;
   if (problem.in_batch_dependency_credit) {
-    for (size_t i : kept) {
-      in_batch[static_cast<size_t>(assignment.pairs()[i].second)] = 1;
-    }
+    in_batch.reserve(kept.size());
+    for (size_t i : kept) in_batch.push_back(assignment.pairs()[i].second);
+    std::sort(in_batch.begin(), in_batch.end());
   }
 
   // Because closures are transitive, a single pass suffices: if every task in
@@ -51,7 +74,8 @@ SplitAssignment SplitPairs(const BatchProblem& problem,
     const auto& [w, t] = assignment.pairs()[i];
     bool deps_met = true;
     for (TaskId f : instance.DepClosure(t)) {
-      if (!problem.TaskAssignedBefore(f) && !in_batch[static_cast<size_t>(f)]) {
+      if (!problem.TaskAssignedBefore(f) &&
+          !std::binary_search(in_batch.begin(), in_batch.end(), f)) {
         deps_met = false;
         break;
       }

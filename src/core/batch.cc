@@ -14,15 +14,19 @@ namespace dasc::core {
 
 namespace {
 
-// Workers per ParallelFor chunk. Candidate generation is ~1us per worker at
-// paper scale; 64 workers per chunk keeps dispatch overhead under 2% while
-// still splitting Table V batches (hundreds of idle workers) across the
-// pool.
+// Workers per hit-buffer chunk of BuildCandidates. Candidate generation is
+// ~1us per worker at paper scale; 64 workers per chunk keeps dispatch and
+// buffer overhead under 2% while still splitting Table V batches (hundreds
+// of idle workers) across the pool.
 constexpr int64_t kWorkerGrain = 64;
 
-// Cells per axis are capped so row-major cell keys stay far inside int64
+// Cells per axis are capped so the grid's cell counts stay far inside int64
 // when the reach is tiny or zero relative to the task spread.
 constexpr double kMaxCellsPerAxis = 1 << 20;
+
+// The offset table holds at most this many (skill, cell) slots per open
+// task; a batch whose reach-sized grid would need more coarsens its cells.
+constexpr int64_t kSlotsPerOpenTask = 64;
 
 // One axis of the cell grid: cells of `size` starting at `lo`, clamped to
 // [0, count). Cell() is monotone in its argument, so the cells of a reach
@@ -41,77 +45,94 @@ struct CellAxis {
   }
 };
 
-// Candidate index over one batch's open tasks: tasks bucketed by required
-// skill (CSR over num_skills), and within a skill sorted by (row-major cell
-// key, rank in open_tasks). A worker's query visits, for each of its skills
-// and each cell row its reach box overlaps, the contiguous key run of that
-// row's overlapped columns. The cell size is the largest remaining_distance
-// among the batch's workers, so a reach box overlaps at most 3x3 cells and
-// the index needs no density estimate. Non-Euclidean kinds use one cell:
-// the query is then a plain skill inverted-index scan.
+// Candidate index over one batch's open tasks, ordered by (skill, row-major
+// cell, rank in open_tasks). Each skill with open tasks owns a segment of
+// one slot per cell, and the offset table gives every slot's entry range,
+// so a worker's query reads the bounds of each (skill, cell-row) run in
+// constant time: for each of its skills and each cell row its reach box
+// overlaps, the run of that row's overlapped columns. The cell size is the
+// largest remaining_distance among the batch's workers, so a reach box
+// overlaps at most 3x3 cells and the index needs no density estimate.
+// SizeGrid coarsens the cells until segments x cells <= kSlotsPerOpenTask x
+// open tasks, which caps the table (skill segment bases plus slot offsets)
+// at 2 x num_skills + kSlotsPerOpenTask x open tasks entries. Non-Euclidean
+// kinds use one cell: the query is then a plain skill inverted-index scan.
 //
-// Each entry carries its task's packed row (location, start, expiry) beside
-// its key, so a run is probed with ServeFits over contiguous memory; the
-// skill check is implied by the bucket.
+// Each entry carries its task's packed row (location, start, expiry), so a
+// run is probed with ServeFits over contiguous memory; the skill check is
+// implied by the segment.
 class CandidateIndex {
  public:
   explicit CandidateIndex(const BatchProblem& problem) {
     const Instance& instance = *problem.instance;
     const size_t m = problem.open_tasks.size();
-    if (problem.params.distance_kind == geo::DistanceKind::kEuclidean &&
-        m > 0) {
-      SizeGrid(problem);
+    const auto num_skills = static_cast<size_t>(instance.num_skills());
+    skill_base_.assign(num_skills, -1);
+    int64_t segments = 0;
+    for (TaskId t : problem.open_tasks) {
+      int64_t& base =
+          skill_base_[static_cast<size_t>(instance.task(t).required_skill)];
+      if (base < 0) base = segments++;
+    }
+    if (m == 0) return;  // every query misses; no table
+    if (problem.params.distance_kind == geo::DistanceKind::kEuclidean) {
+      SizeGrid(problem, kSlotsPerOpenTask * static_cast<int64_t>(m) / segments);
+    }
+    const int64_t cells = cols_.count * rows_.count;
+    for (int64_t& base : skill_base_) {
+      if (base >= 0) base *= cells;
     }
 
-    skill_begin_.assign(static_cast<size_t>(instance.num_skills()) + 1, 0);
-    for (TaskId t : problem.open_tasks) {
-      ++skill_begin_[static_cast<size_t>(instance.task(t).required_skill) +
-                     1];
-    }
-    for (size_t s = 1; s < skill_begin_.size(); ++s) {
-      skill_begin_[s] += skill_begin_[s - 1];
-    }
-    // Counting sort by skill keeps ranks ascending within each skill; the
-    // per-skill sort then orders by cell, ties by rank.
-    std::vector<std::pair<int64_t, int32_t>> order(m);
-    std::vector<int32_t> cursor(skill_begin_.begin(), skill_begin_.end() - 1);
+    // Counting sort by slot: offsets_[p] first counts slot p's entries, then
+    // (inclusive prefix sum) marks the end of its range; placing each entry
+    // one below its slot's end moves every end back to the slot's start.
+    // Descending ranks keep each slot in open_tasks order.
+    offsets_.assign(static_cast<size_t>(segments * cells) + 1, 0);
+    std::vector<int64_t> slot(m);
     for (size_t r = 0; r < m; ++r) {
       const Task& task = instance.task(problem.open_tasks[r]);
-      const int64_t key = cols_.count * rows_.Cell(task.location.y) +
-                          cols_.Cell(task.location.x);
-      order[static_cast<size_t>(
-          cursor[static_cast<size_t>(task.required_skill)]++)] = {
-          key, static_cast<int32_t>(r)};
+      slot[r] = skill_base_[static_cast<size_t>(task.required_skill)] +
+                cols_.count * rows_.Cell(task.location.y) +
+                cols_.Cell(task.location.x);
+      ++offsets_[static_cast<size_t>(slot[r])];
     }
-    for (size_t s = 0; s + 1 < skill_begin_.size(); ++s) {
-      std::sort(order.begin() + skill_begin_[s],
-                order.begin() + skill_begin_[s + 1]);
+    for (size_t p = 1; p < offsets_.size(); ++p) {
+      offsets_[p] += offsets_[p - 1];
     }
-    keys_.resize(m);
     ranks_.resize(m);
     task_rows_.resize(m);
-    for (size_t k = 0; k < m; ++k) {
-      keys_[k] = order[k].first;
-      ranks_[k] = order[k].second;
-      task_rows_[k] = TaskRow::Of(instance.task(
-          problem.open_tasks[static_cast<size_t>(order[k].second)]));
+    for (size_t r = m; r-- > 0;) {
+      const auto k =
+          static_cast<size_t>(--offsets_[static_cast<size_t>(slot[r])]);
+      ranks_[k] = static_cast<int32_t>(r);
+      task_rows_[k] = TaskRow::Of(instance.task(problem.open_tasks[r]));
     }
+    DASC_CHECK_LE(table_entries(),
+                  2 * static_cast<int64_t>(num_skills) +
+                      kSlotsPerOpenTask * static_cast<int64_t>(m));
   }
 
   double num_cells() const {
     return static_cast<double>(cols_.count) * static_cast<double>(rows_.count);
   }
 
+  // Skill segment bases plus slot offsets.
+  int64_t table_entries() const {
+    return static_cast<int64_t>(skill_base_.size() + offsets_.size());
+  }
+
   // Appends to `ranks`, in probe order, the open_tasks ranks of every task
   // `state` can serve; `probes` counts the entries tested.
   void Query(const BatchProblem& problem, const WorkerState& state,
              std::vector<int32_t>* ranks, int64_t* probes) const {
+    if (offsets_.empty()) return;
     const Worker& worker = problem.instance->worker(state.id);
     const ServeQuery q = ServeQuery::Of(worker, state, problem.now);
     int64_t col_lo = 0, col_hi = cols_.count - 1;
     int64_t row_lo = 0, row_hi = rows_.count - 1;
     const double r = state.remaining_distance;
-    // With one cell (or an unbounded reach) the whole skill bucket is in range.
+    // With one cell (or an unbounded reach) the whole skill segment is in
+    // range.
     if (num_cells() > 1.0 && std::isfinite(r)) {
       // CanServe's Euclidean distance is never below |dx| or |dy|, so the
       // reach box holds every servable task; the pad absorbs the rounding
@@ -129,17 +150,16 @@ class CandidateIndex {
       row_hi = rows_.Cell(p.y + reach);
     }
     for (SkillId s : worker.skills) {
-      const auto begin = keys_.begin() + skill_begin_[static_cast<size_t>(s)];
-      const auto end =
-          keys_.begin() + skill_begin_[static_cast<size_t>(s) + 1];
-      for (int64_t row = row_lo; row <= row_hi && begin != end; ++row) {
-        const int64_t last_key = row * cols_.count + col_hi;
-        auto it = std::lower_bound(begin, end, row * cols_.count + col_lo);
-        auto run_end = it;
-        while (run_end != end && *run_end <= last_key) ++run_end;
-        ProbeRun(problem, state, q, static_cast<size_t>(it - keys_.begin()),
-                 static_cast<size_t>(run_end - keys_.begin()), ranks);
-        *probes += run_end - it;
+      const int64_t base = skill_base_[static_cast<size_t>(s)];
+      if (base < 0) continue;  // no open task needs this skill
+      for (int64_t row = row_lo; row <= row_hi; ++row) {
+        // Columns col_lo..col_hi of one row are adjacent slots, so the run
+        // ends where slot col_hi + 1 (the next row's, or the next
+        // segment's, first slot at the row's end) begins.
+        const int32_t* run = offsets_.data() + base + row * cols_.count;
+        ProbeRun(problem, state, q, static_cast<size_t>(run[col_lo]),
+                 static_cast<size_t>(run[col_hi + 1]), ranks);
+        *probes += run[col_hi + 1] - run[col_lo];
       }
     }
   }
@@ -177,7 +197,9 @@ class CandidateIndex {
     ranks->resize(base + hits);
   }
 
-  void SizeGrid(const BatchProblem& problem) {
+  // Sizes the grid over the open tasks' bounding box with at most
+  // `max_cells` cells.
+  void SizeGrid(const BatchProblem& problem, int64_t max_cells) {
     const Instance& instance = *problem.instance;
     const geo::Point& first =
         instance.task(problem.open_tasks.front()).location;
@@ -198,6 +220,11 @@ class CandidateIndex {
     const double height = rows_.hi - rows_.lo;
     size = std::max(size, std::max(width, height) / kMaxCellsPerAxis);
     if (!(size > 0.0) || !std::isfinite(size)) return;  // one cell
+    // Coarser cells only widen the runs a query probes, never drop a task.
+    const auto cells = [&](double s) {
+      return (std::floor(width / s) + 1.0) * (std::floor(height / s) + 1.0);
+    };
+    while (cells(size) > static_cast<double>(max_cells)) size *= 2.0;
     cols_.size = rows_.size = size;
     cols_.count = static_cast<int64_t>(width / size) + 1;
     rows_.count = static_cast<int64_t>(height / size) + 1;
@@ -205,9 +232,11 @@ class CandidateIndex {
 
   CellAxis cols_;
   CellAxis rows_;
-  std::vector<int32_t> skill_begin_;
-  // Per entry, in (skill, cell key, rank) order.
-  std::vector<int64_t> keys_;
+  // Per skill: the first slot of its segment, or -1 without open tasks.
+  std::vector<int64_t> skill_base_;
+  // Entry range of slot p is [offsets_[p], offsets_[p + 1]).
+  std::vector<int32_t> offsets_;
+  // Per entry, in (skill, cell, rank) order.
   std::vector<int32_t> ranks_;
   std::vector<TaskRow> task_rows_;
 };
@@ -291,16 +320,9 @@ CandidateEdges BuildCandidateEdges(const BatchProblem& problem) {
 
   CandidateEdges edges;
   edges.num_workers = static_cast<int>(problem.workers.size());
-  const size_t num_tasks = static_cast<size_t>(instance.num_tasks());
-  edges.row_begin.assign(num_tasks + 1, 0);
-  for (size_t t = 0; t < num_tasks; ++t) {
-    edges.row_begin[t + 1] =
-        edges.row_begin[t] +
-        static_cast<int64_t>(sets.task_workers[t].size());
-  }
-  const int64_t total = edges.row_begin[num_tasks];
-  edges.workers.resize(static_cast<size_t>(total));
-  edges.travel_time.resize(static_cast<size_t>(total));
+  edges.row_begin = sets.task_begin;
+  edges.workers = sets.task_workers;
+  edges.travel_time.resize(edges.workers.size());
 
   // Rows are disjoint, so the fill parallelizes over tasks bit-identically.
   // Travel time is the cost the matching step has always charged:
@@ -308,19 +330,17 @@ CandidateEdges BuildCandidateEdges(const BatchProblem& problem) {
   // by the worker's velocity.
   constexpr int64_t kTaskGrain = 256;
   util::ParallelFor(
-      0, static_cast<int64_t>(num_tasks), kTaskGrain,
+      0, static_cast<int64_t>(instance.num_tasks()), kTaskGrain,
       [&](int64_t lo, int64_t hi) {
         for (int64_t t = lo; t < hi; ++t) {
-          int64_t e = edges.row_begin[static_cast<size_t>(t)];
-          for (int wi : sets.task_workers[static_cast<size_t>(t)]) {
-            const WorkerState& state =
-                problem.workers[static_cast<size_t>(wi)];
+          for (int64_t e = edges.row_begin[static_cast<size_t>(t)];
+               e < edges.row_begin[static_cast<size_t>(t) + 1]; ++e) {
+            const WorkerState& state = problem.workers[static_cast<size_t>(
+                edges.workers[static_cast<size_t>(e)])];
             const double dist = ServeDistance(
                 instance, state, static_cast<TaskId>(t), problem.params);
-            edges.workers[static_cast<size_t>(e)] = wi;
             edges.travel_time[static_cast<size_t>(e)] =
                 dist / instance.worker(state.id).velocity;
-            ++e;
           }
         }
       });
@@ -333,65 +353,96 @@ CandidateSets BuildCandidates(const BatchProblem& problem) {
   DASC_TRACE_SPAN_N("candidate_build",
                     static_cast<int64_t>(problem.workers.size()));
   DASC_FLIGHT_SPAN("candidate_build");
+  const size_t n = problem.workers.size();
+  const size_t num_open = problem.open_tasks.size();
+  const size_t num_tasks = static_cast<size_t>(instance.num_tasks());
   CandidateSets sets;
-  sets.worker_tasks.resize(problem.workers.size());
-  sets.task_workers.resize(static_cast<size_t>(instance.num_tasks()));
+  sets.worker_begin.assign(n + 1, 0);
+  sets.task_begin.assign(num_tasks + 1, 0);
 
   const CandidateIndex index(problem);
   DASC_METRIC_GAUGE_SET("candidates_index_cells", index.num_cells());
+  DASC_METRIC_GAUGE_SET("candidates_index_table_entries",
+                        static_cast<double>(index.table_entries()));
 
-  // Each chunk fills worker_tasks[i], for its own disjoint worker range
-  // only, with the open_tasks ranks of worker i's servable tasks in probe
-  // order; the index is read-only, so every thread count fills the same.
-  util::ParallelFor(
-      0, static_cast<int64_t>(problem.workers.size()), kWorkerGrain,
-      [&](int64_t lo, int64_t hi) {
-        std::vector<int32_t> ranks;  // probe scratch, sized for a run
-        int64_t probes = 0;  // accumulated locally, one counter add per chunk
-        for (int64_t i = lo; i < hi; ++i) {
-          ranks.clear();
-          index.Query(problem, problem.workers[static_cast<size_t>(i)], &ranks,
-                      &probes);
-          sets.worker_tasks[static_cast<size_t>(i)].assign(ranks.begin(),
-                                                           ranks.end());
-        }
-        DASC_METRIC_COUNTER_ADD("candidates_probes_total", probes);
-      });
-
-  // Both published orders come from two stable counting passes on the
-  // calling thread, with no comparison sort: grouping the pairs by rank in
-  // ascending worker order gives each task's workers ascending, and reading
-  // the groups back rank by rank gives each worker's tasks in open_tasks
-  // order.
-  const size_t num_open = problem.open_tasks.size();
-  std::vector<int64_t> rank_begin(num_open + 1, 0);
-  for (const std::vector<TaskId>& ranks : sets.worker_tasks) {
-    for (int32_t r : ranks) ++rank_begin[static_cast<size_t>(r) + 1];
-  }
-  for (size_t r = 0; r < num_open; ++r) rank_begin[r + 1] += rank_begin[r];
-  sets.num_pairs = rank_begin[num_open];
-  std::vector<int32_t> by_rank(static_cast<size_t>(sets.num_pairs));
-  {
-    std::vector<int64_t> cursor(rank_begin.begin(), rank_begin.end() - 1);
-    for (size_t i = 0; i < sets.worker_tasks.size(); ++i) {
-      for (int32_t r : sets.worker_tasks[i]) {
-        by_rank[static_cast<size_t>(cursor[static_cast<size_t>(r)]++)] =
-            static_cast<int32_t>(i);
+  // Chunk c owns workers [c * kWorkerGrain, (c + 1) * kWorkerGrain): it
+  // appends their hits (open_tasks ranks, in probe order) to hits[c] and
+  // their counts to worker_begin. Chunks are fixed by the grain, not by the
+  // pool, and the index is read-only, so every thread count fills the same.
+  const int64_t num_chunks =
+      (static_cast<int64_t>(n) + kWorkerGrain - 1) / kWorkerGrain;
+  std::vector<std::vector<int32_t>> hits(static_cast<size_t>(num_chunks));
+  util::ParallelFor(0, num_chunks, 1, [&](int64_t c_lo, int64_t c_hi) {
+    int64_t probes = 0;  // accumulated locally, one counter add per call
+    for (int64_t c = c_lo; c < c_hi; ++c) {
+      std::vector<int32_t>& ranks = hits[static_cast<size_t>(c)];
+      const int64_t end = std::min<int64_t>(static_cast<int64_t>(n),
+                                            (c + 1) * kWorkerGrain);
+      for (int64_t i = c * kWorkerGrain; i < end; ++i) {
+        const size_t before = ranks.size();
+        index.Query(problem, problem.workers[static_cast<size_t>(i)], &ranks,
+                    &probes);
+        sets.worker_begin[static_cast<size_t>(i) + 1] =
+            static_cast<int64_t>(ranks.size() - before);
       }
-      sets.worker_tasks[i].clear();  // keeps the capacity the refill needs
     }
+    DASC_METRIC_COUNTER_ADD("candidates_probes_total", probes);
+  });
+  for (size_t i = 0; i < n; ++i) {
+    sets.worker_begin[i + 1] += sets.worker_begin[i];
+  }
+  sets.num_pairs = sets.worker_begin[n];
+
+  // Both sides come from two stable counting passes over the chunk buffers
+  // read in chunk order, with no comparison sort. Grouping the pairs by task
+  // in ascending worker order gives each task's workers ascending; reading
+  // the task side back rank by rank gives each worker's tasks in open_tasks
+  // order.
+  std::vector<int64_t> cursor(num_open, 0);
+  for (const std::vector<int32_t>& ranks : hits) {
+    for (int32_t r : ranks) ++cursor[static_cast<size_t>(r)];
   }
   for (size_t r = 0; r < num_open; ++r) {
-    const TaskId t = problem.open_tasks[r];
-    std::vector<int>& workers = sets.task_workers[static_cast<size_t>(t)];
-    workers.assign(by_rank.begin() + rank_begin[r],
-                   by_rank.begin() + rank_begin[r + 1]);
-    for (int i : workers) {
-      sets.worker_tasks[static_cast<size_t>(i)].push_back(t);
+    sets.task_begin[static_cast<size_t>(problem.open_tasks[r]) + 1] =
+        cursor[r];
+  }
+  for (size_t t = 0; t < num_tasks; ++t) {
+    sets.task_begin[t + 1] += sets.task_begin[t];
+  }
+  for (size_t r = 0; r < num_open; ++r) {
+    cursor[r] = sets.task_begin[static_cast<size_t>(problem.open_tasks[r])];
+  }
+  sets.task_workers.resize(static_cast<size_t>(sets.num_pairs));
+  for (int64_t c = 0; c < num_chunks; ++c) {
+    const std::vector<int32_t>& ranks = hits[static_cast<size_t>(c)];
+    const int64_t first = c * kWorkerGrain;
+    const int64_t end = std::min<int64_t>(static_cast<int64_t>(n),
+                                          first + kWorkerGrain);
+    const int64_t* row = sets.worker_begin.data();
+    for (int64_t i = first; i < end; ++i) {
+      for (int64_t g = row[i]; g < row[i + 1]; ++g) {
+        const auto r = static_cast<size_t>(
+            ranks[static_cast<size_t>(g - row[first])]);
+        sets.task_workers[static_cast<size_t>(cursor[r]++)] =
+            static_cast<int32_t>(i);
+      }
     }
   }
+  FillWorkerTasks(problem.open_tasks, &sets);
   DASC_METRIC_COUNTER_ADD("candidates_pairs_total", sets.num_pairs);
   return sets;
+}
+
+void FillWorkerTasks(std::span<const TaskId> tasks, CandidateSets* sets) {
+  sets->worker_tasks.resize(static_cast<size_t>(sets->worker_begin.back()));
+  std::vector<int64_t> next(sets->worker_begin.begin(),
+                            sets->worker_begin.end() - 1);
+  for (TaskId t : tasks) {
+    for (int32_t i : sets->TaskWorkers(t)) {
+      sets->worker_tasks[static_cast<size_t>(
+          next[static_cast<size_t>(i)]++)] = t;
+    }
+  }
 }
 
 ServeFailure ClassifyBatchTaskFailure(const BatchProblem& problem,

@@ -4,6 +4,7 @@
 #define DASC_CORE_BATCH_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/feasibility.h"
@@ -86,22 +87,50 @@ struct BatchProblem {
   mutable std::shared_ptr<CandidateEdges> edges_cache;
 };
 
-// Feasible-pair candidate sets for one batch.
+// Feasible-pair candidate sets for one batch: the same pairs twice, as two
+// flat CSR sides (one offsets array plus one items array each).
 struct CandidateSets {
-  // worker_tasks[i]: open tasks servable by problem.workers[i], in
-  // problem.open_tasks order (ascending in Simulator, Service and Platform).
-  std::vector<std::vector<TaskId>> worker_tasks;
-  // task_workers[t]: indices into problem.workers that can serve global task
-  // t (sized instance->num_tasks(); empty for non-open tasks).
-  std::vector<std::vector<int>> task_workers;
+  // Worker side: the open tasks servable by problem.workers[i] are
+  // worker_tasks[worker_begin[i], worker_begin[i + 1]), in problem.open_tasks
+  // order (ascending in Simulator, Service and Platform). worker_begin is
+  // sized problem.workers.size() + 1.
+  std::vector<int64_t> worker_begin;
+  std::vector<TaskId> worker_tasks;
+  // Task side, laid out like CandidateEdges::row_begin: the indices into
+  // problem.workers that can serve global task t are
+  // task_workers[task_begin[t], task_begin[t + 1]), ascending. task_begin is
+  // sized instance->num_tasks() + 1; rows of non-open tasks are empty.
+  std::vector<int64_t> task_begin;
+  std::vector<int32_t> task_workers;
   int64_t num_pairs = 0;
+
+  std::span<const TaskId> WorkerTasks(size_t i) const {
+    return Row(worker_tasks, worker_begin, i);
+  }
+  std::span<const int32_t> TaskWorkers(TaskId t) const {
+    return Row(task_workers, task_begin, static_cast<size_t>(t));
+  }
+
+  // Whole-array equality, offsets included: the same ids in different rows
+  // compare unequal.
+  bool operator==(const CandidateSets&) const = default;
+
+ private:
+  template <typename T>
+  static std::span<const T> Row(const std::vector<T>& items,
+                                const std::vector<int64_t>& begin, size_t r) {
+    return std::span<const T>(items).subspan(
+        static_cast<size_t>(begin[r]),
+        static_cast<size_t>(begin[r + 1] - begin[r]));
+  }
 };
 
 // Row-compressed candidate edges for one batch: row = global task id,
 // column = index into problem.workers, cost = travel time (ServeDistance /
 // worker velocity — the exact arithmetic the matching step charges). Rows of
 // non-open tasks are empty; columns within a row are in the deterministic
-// task_workers order (ascending worker index).
+// task-side order (ascending worker index): row_begin and workers are
+// copies of CandidateSets::task_begin and task_workers.
 struct CandidateEdges {
   // Edge range of global task t is [row_begin[t], row_begin[t + 1]).
   // Sized instance->num_tasks() + 1.
@@ -131,10 +160,17 @@ CandidateEdges BuildCandidateEdges(const BatchProblem& problem);
 // Computes candidate sets from a per-batch (skill, cell) index over the open
 // tasks: each worker probes, with CanServe, only the open tasks that need one
 // of its skills and lie in the cells its reach box overlaps (one cell for
-// non-Euclidean distance kinds). Workers are partitioned across the global
-// thread pool (util::ParallelFor); the output is bit-identical for every
-// thread count, including the --threads=1 serial fallback.
+// non-Euclidean distance kinds), reading each run's bounds from the index's
+// (skill, cell) offset table. Workers are partitioned into fixed chunks run
+// on the global thread pool (util::ParallelFor), each collecting its hits in
+// one buffer; the output is bit-identical for every thread count, including
+// the --threads=1 serial fallback.
 CandidateSets BuildCandidates(const BatchProblem& problem);
+
+// Fills sets->worker_tasks from the task side, given the task side and
+// worker_begin: each worker's row lists its tasks in the order of `tasks`,
+// which must include every task with a non-empty task-side row.
+void FillWorkerTasks(std::span<const TaskId> tasks, CandidateSets* sets);
 
 // The most advanced ServeFailure any idle worker reaches against `task`
 // (kNone when some worker is fully feasible this batch). The lifecycle

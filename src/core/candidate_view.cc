@@ -6,17 +6,12 @@
 
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/tracing.h"
 
 namespace dasc::core {
 
 namespace {
-
-// Tasks per ParallelFor chunk in the publish fill — same grain as
-// BuildCandidateEdges so the CSR materialization parallelizes identically.
-constexpr int64_t kTaskGrain = 256;
 
 // Pop margin for the deadline heap. Keys are Expiry - travel_time computed
 // in floating point, so the true flip time of `now + tt > Expiry` can sit up
@@ -478,27 +473,8 @@ void IncrementalCandidateView::IncrementalUpdate(BatchProblem& problem) {
 void IncrementalCandidateView::Publish(BatchProblem& problem) {
   const size_t m = static_cast<size_t>(instance_->num_tasks());
   const size_t nw = problem.workers.size();
-
-  // Recycle a retired publish slot when nothing outside the ring still
-  // references it (problem caches and warm-start consumers hold for a batch
-  // or two); a still-aliased slot is replaced, never mutated. Every field is
-  // overwritten below, so recycling only reuses allocation capacity.
-  if (sets_ring_.size() != kPublishRing) {
-    sets_ring_.resize(kPublishRing);
-    edges_ring_.resize(kPublishRing);
-  }
-  std::shared_ptr<CandidateSets>& sets_slot = sets_ring_[ring_next_];
-  std::shared_ptr<CandidateEdges>& edges_slot = edges_ring_[ring_next_];
-  ring_next_ = (ring_next_ + 1) % kPublishRing;
-  if (sets_slot == nullptr || sets_slot.use_count() > 1) {
-    sets_slot = std::make_shared<CandidateSets>();
-  }
-  if (edges_slot == nullptr || edges_slot.use_count() > 1) {
-    edges_slot = std::make_shared<CandidateEdges>();
-  }
-  const std::shared_ptr<CandidateSets>& sets = sets_slot;
-  const std::shared_ptr<CandidateEdges>& edges = edges_slot;
-  for (auto& row : sets->worker_tasks) row.clear();
+  auto sets = std::make_shared<CandidateSets>();
+  auto edges = std::make_shared<CandidateEdges>();
 
   index_of_worker_.assign(static_cast<size_t>(instance_->num_workers()), -1);
   for (size_t i = 0; i < nw; ++i) {
@@ -506,52 +482,43 @@ void IncrementalCandidateView::Publish(BatchProblem& problem) {
         static_cast<int32_t>(i);
   }
 
-  edges->num_workers = static_cast<int>(nw);
-  edges->row_begin.assign(m + 1, 0);
-  for (size_t t = 0; t < m; ++t) {
-    edges->row_begin[t + 1] =
-        edges->row_begin[t] + static_cast<int64_t>(rows_[t].size());
-  }
-  const int64_t total = edges->row_begin[m];
-  edges->workers.resize(static_cast<size_t>(total));
-  edges->travel_time.resize(static_cast<size_t>(total));
-  sets->worker_tasks.resize(nw);
-  sets->task_workers.resize(m);
-
-  // Rows are disjoint, so the fill parallelizes bit-identically — the same
-  // layout contract as BuildCandidateEdges. Rows are stored ascending by
+  // Task side, and the edges' copy of it: rows are stored ascending by
   // WorkerId and problem.workers is ascending by id (precondition), so the
   // mapped columns come out in ascending worker-index order, exactly the
-  // deterministic task_workers order of the scratch path.
-  util::ParallelFor(
-      0, static_cast<int64_t>(m), kTaskGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t t = lo; t < hi; ++t) {
-          const auto& row = rows_[static_cast<size_t>(t)];
-          int64_t e = edges->row_begin[static_cast<size_t>(t)];
-          auto& tw = sets->task_workers[static_cast<size_t>(t)];
-          tw.clear();  // recycled slots keep stale rows until overwritten
-          tw.reserve(row.size());
-          for (const Edge& edge : row) {
-            const int32_t col =
-                index_of_worker_[static_cast<size_t>(edge.worker)];
-            DASC_CHECK(col >= 0);
-            edges->workers[static_cast<size_t>(e)] = col;
-            edges->travel_time[static_cast<size_t>(e)] = edge.travel_time;
-            tw.push_back(col);
-            ++e;
-          }
-        }
-      });
-
-  // worker_tasks[i] ascending by TaskId: outer loop over tasks ascending.
+  // task-side order of the scratch path. The worker side counts its row
+  // lengths on the way.
+  sets->task_begin.assign(m + 1, 0);
+  sets->worker_begin.assign(nw + 1, 0);
   for (size_t t = 0; t < m; ++t) {
+    sets->task_begin[t + 1] =
+        sets->task_begin[t] + static_cast<int64_t>(rows_[t].size());
+  }
+  const int64_t total = sets->task_begin[m];
+  sets->task_workers.resize(static_cast<size_t>(total));
+  edges->travel_time.resize(static_cast<size_t>(total));
+  std::vector<TaskId> with_row;  // ascending
+  int64_t e = 0;
+  for (size_t t = 0; t < m; ++t) {
+    if (!rows_[t].empty()) with_row.push_back(static_cast<TaskId>(t));
     for (const Edge& edge : rows_[t]) {
-      sets->worker_tasks[static_cast<size_t>(
-                             index_of_worker_[static_cast<size_t>(edge.worker)])]
-          .push_back(static_cast<TaskId>(t));
+      const int32_t col = index_of_worker_[static_cast<size_t>(edge.worker)];
+      DASC_CHECK(col >= 0);
+      sets->task_workers[static_cast<size_t>(e)] = col;
+      edges->travel_time[static_cast<size_t>(e)] = edge.travel_time;
+      ++sets->worker_begin[static_cast<size_t>(col) + 1];
+      ++e;
     }
   }
+  for (size_t i = 0; i < nw; ++i) {
+    sets->worker_begin[i + 1] += sets->worker_begin[i];
+  }
+
+  // Worker side ascending by TaskId, the scratch path's open_tasks order.
+  FillWorkerTasks(with_row, sets.get());
   sets->num_pairs = total;
+  edges->num_workers = static_cast<int>(nw);
+  edges->row_begin = sets->task_begin;
+  edges->workers = sets->task_workers;
 
   // Dirty-bit prefill: a row untouched since the previous publish has the
   // same (WorkerId, travel_time) edge list, which is exactly the

@@ -161,18 +161,10 @@ class IncrementalCandidateView {
   // Previous publish, retained for the zero-delta fast path: when no row was
   // touched and the worker-id column space is identical, the previous
   // objects are bit-identical to what Publish would rebuild, so they are
-  // re-stamped and republished without reallocating ~2(n+m) vectors.
+  // re-stamped and republished without rebuilding the flat arrays.
   std::shared_ptr<const CandidateSets> last_sets_;
   std::shared_ptr<CandidateEdges> last_edges_;
   std::vector<WorkerId> last_worker_ids_;
-
-  // Retired publish buffers, recycled (inner capacity and all) once every
-  // external reference has dropped (use_count() == 1). Fixed-size ring: a
-  // slot still aliased by a consumer is replaced with a fresh allocation.
-  static constexpr size_t kPublishRing = 3;
-  std::vector<std::shared_ptr<CandidateSets>> sets_ring_;
-  std::vector<std::shared_ptr<CandidateEdges>> edges_ring_;
-  size_t ring_next_ = 0;
 
   uint32_t generation_ = 0;
   int64_t publish_seq_ = -1;

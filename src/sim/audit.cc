@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -115,7 +116,7 @@ int RelaxedBatchUpperBound(const core::BatchProblem& problem,
   // this batch, dependency aside.
   auto assignable = [&](core::TaskId t) {
     return open[static_cast<size_t>(t)] != 0 &&
-           !cand.task_workers[static_cast<size_t>(t)].empty();
+           !cand.TaskWorkers(t).empty();
   };
 
   // Credibility filter: a task can only appear in a valid assignment when
@@ -154,7 +155,7 @@ int RelaxedBatchUpperBound(const core::BatchProblem& problem,
     }
     std::vector<std::vector<int>> adj(problem.workers.size());
     for (size_t i = 0; i < problem.workers.size(); ++i) {
-      for (core::TaskId t : cand.worker_tasks[i]) {
+      for (core::TaskId t : cand.WorkerTasks(i)) {
         const int local = local_of[static_cast<size_t>(t)];
         if (local >= 0) adj[i].push_back(local);
       }
@@ -196,7 +197,7 @@ int RelaxedBatchUpperBound(const core::BatchProblem& problem,
     bool matched_all = true;
     for (core::TaskId s : set_tasks) {
       bool matched = false;
-      for (int wi : cand.task_workers[static_cast<size_t>(s)]) {
+      for (int wi : cand.TaskWorkers(s)) {
         if (used_stamp[static_cast<size_t>(wi)] != probe_id) {
           used_stamp[static_cast<size_t>(wi)] = probe_id;
           matched = true;
@@ -214,7 +215,7 @@ int RelaxedBatchUpperBound(const core::BatchProblem& problem,
       std::unordered_map<int, int> worker_local;
       std::vector<std::vector<int>> adj;
       for (size_t s = 0; s < set_tasks.size(); ++s) {
-        for (int wi : cand.task_workers[static_cast<size_t>(set_tasks[s])]) {
+        for (int wi : cand.TaskWorkers(set_tasks[s])) {
           auto [it, inserted] =
               worker_local.emplace(wi, static_cast<int>(adj.size()));
           if (inserted) adj.emplace_back();
@@ -548,6 +549,38 @@ int BatchAuditor::CrossCheckLedger(
 
 namespace {
 
+// First differing row of one flat CSR side against the scratch side, as
+// "<label(row)>: <got length> <unit> != scratch <want length>"; "" when
+// both arrays, offsets included, are equal, so the same items in different
+// rows differ too.
+template <typename T, typename Label>
+std::string CompareSide(const std::vector<int64_t>& got_begin,
+                        const std::vector<T>& got_items,
+                        const std::vector<int64_t>& want_begin,
+                        const std::vector<T>& want_items, const char* side,
+                        const char* unit, const Label& label) {
+  if (got_begin == want_begin && got_items == want_items) return "";
+  const std::string mismatch = std::string(side) + " shape mismatch";
+  if (got_begin.size() != want_begin.size() ||
+      got_items.size() != want_items.size()) {
+    return mismatch;
+  }
+  // Rows are compared in order, so every earlier row's bounds matched and
+  // a row whose bounds match too lies inside both item arrays.
+  for (size_t r = 0; r + 1 < want_begin.size(); ++r) {
+    const int64_t b = want_begin[r];
+    const int64_t e = want_begin[r + 1];
+    if (got_begin[r] != b || got_begin[r + 1] != e ||
+        !std::equal(got_items.begin() + b, got_items.begin() + e,
+                    want_items.begin() + b)) {
+      return label(r) + ": " +
+             std::to_string(got_begin[r + 1] - got_begin[r]) + " " + unit +
+             " != scratch " + std::to_string(e - b);
+    }
+  }
+  return mismatch;
+}
+
 // First divergence between the published candidate caches and a from-scratch
 // rebuild; "" when bit-identical. The rebuild runs on a shallow copy with
 // reset caches, so the incremental view's published objects are untouched.
@@ -564,29 +597,19 @@ std::string CompareCandidatesToScratch(const core::BatchProblem& problem) {
     return "num_pairs " + std::to_string(got.num_pairs) + " != scratch " +
            std::to_string(want.num_pairs);
   }
-  if (got.worker_tasks != want.worker_tasks) {
-    for (size_t i = 0; i < want.worker_tasks.size(); ++i) {
-      if (got.worker_tasks[i] != want.worker_tasks[i]) {
+  std::string diff = CompareSide(
+      got.worker_begin, got.worker_tasks, want.worker_begin,
+      want.worker_tasks, "worker_tasks", "tasks", [&](size_t i) {
         return "worker_tasks[" + std::to_string(i) + "] (worker " +
-               std::to_string(problem.workers[i].id) + "): " +
-               std::to_string(got.worker_tasks[i].size()) +
-               " tasks != scratch " +
-               std::to_string(want.worker_tasks[i].size());
-      }
-    }
-    return "worker_tasks shape mismatch";
-  }
-  if (got.task_workers != want.task_workers) {
-    for (size_t t = 0; t < want.task_workers.size(); ++t) {
-      if (got.task_workers[t] != want.task_workers[t]) {
-        return "task_workers[" + std::to_string(t) + "]: " +
-               std::to_string(got.task_workers[t].size()) +
-               " workers != scratch " +
-               std::to_string(want.task_workers[t].size());
-      }
-    }
-    return "task_workers shape mismatch";
-  }
+               std::to_string(problem.workers[i].id) + ")";
+      });
+  if (!diff.empty()) return diff;
+  diff = CompareSide(got.task_begin, got.task_workers, want.task_begin,
+                     want.task_workers, "task_workers", "workers",
+                     [](size_t t) {
+                       return "task_workers[" + std::to_string(t) + "]";
+                     });
+  if (!diff.empty()) return diff;
   if (got_edges.num_workers != want_edges.num_workers ||
       got_edges.row_begin != want_edges.row_begin ||
       got_edges.workers != want_edges.workers) {

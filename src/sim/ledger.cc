@@ -177,7 +177,7 @@ void LifecycleLedger::ObserveBatch(const core::BatchProblem& problem,
     e.last_open_batch = batch_seq;
     ++e.batches_open;
     const bool has_candidate =
-        cand != nullptr && !cand->task_workers[static_cast<size_t>(t)].empty();
+        cand != nullptr && !cand->TaskWorkers(t).empty();
     if (has_candidate) ++e.candidate_batches;
     if (assigned_in_batch_[static_cast<size_t>(t)] != 0) continue;
 

@@ -434,13 +434,13 @@ Status CheckWarmColdEquivalence(const OracleContext& ctx) {
 // (DESIGN.md §17). The instance is replayed through the event-driven
 // simulator with candidates maintained incrementally and verify_candidates
 // on, so the disjoint BatchAuditor rebuilds every non-empty batch's
-// candidate sets from scratch and compares them bitwise (CSR layout,
-// worker_tasks / task_workers orders, travel_time bits). Any mismatch is a
-// violation, as is any drift in the final score or completion count against
-// a plain scratch-mode run of the same instance — candidate equivalence
-// must imply allocation equivalence. With ctx.inject_stale_candidate the
-// view silently drops one retraction, and this oracle must fire on the
-// first batch that publishes the stale row.
+// candidate sets from scratch and compares them bitwise (both flat
+// candidate sides and the edge CSR, offsets included, and travel_time
+// bits). Any mismatch is a violation, as is any drift in the final score or
+// completion count against a plain scratch-mode run of the same instance —
+// candidate equivalence must imply allocation equivalence. With
+// ctx.inject_stale_candidate the view silently drops one retraction, and
+// this oracle must fire on the first batch that publishes the stale row.
 Status CheckIncrementalCandidatesEquivalence(const OracleContext& ctx) {
   sim::SimulatorOptions options;
   options.batch_trigger = sim::SimulatorOptions::BatchTrigger::kEventDriven;

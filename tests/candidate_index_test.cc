@@ -1,9 +1,10 @@
 // The (skill, cell) candidate index behind core::BuildCandidates, checked
-// byte-for-byte against an exhaustive all-pairs CanServe scan in open_tasks
-// order, at pool sizes 1, 2 and 8. The cases aim at the index's edges: every
-// distance kind, degenerate task layouts, workers outside the tasks'
-// bounding box, tasks exactly on the reach boundary or on cell edges, zero
-// and oversized reach, and mixed remaining budgets within one batch.
+// byte-for-byte against an exhaustive all-pairs CanServe scan (both flat
+// CSR sides, offsets included), at pool sizes 1, 2 and 8. The cases aim at
+// the index's edges: every distance kind, degenerate task layouts, workers
+// outside the tasks' bounding box, tasks exactly on the reach boundary or
+// on cell edges, zero and oversized reach, mixed remaining budgets within
+// one batch, and batches where the offset table's cap coarsens the grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "core/batch.h"
 #include "geo/road_network.h"
 #include "test_util.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -23,31 +25,41 @@ namespace {
 
 using dasc::testing::MakeTask;
 using dasc::testing::MakeWorker;
+using dasc::testing::RowOf;
 
-// The reference: every open task against every worker, in open_tasks order.
+// The reference: every open task against every worker, in open_tasks
+// order, laid out as the two flat CSR sides.
 CandidateSets ExhaustiveCandidates(const BatchProblem& problem) {
-  CandidateSets sets;
-  sets.worker_tasks.resize(problem.workers.size());
-  sets.task_workers.resize(
+  std::vector<std::vector<int32_t>> by_task(
       static_cast<size_t>(problem.instance->num_tasks()));
+  CandidateSets sets;
+  sets.worker_begin.push_back(0);
   for (size_t i = 0; i < problem.workers.size(); ++i) {
     for (TaskId t : problem.open_tasks) {
       if (CanServe(*problem.instance, problem.workers[i], t, problem.now,
                    problem.params)) {
-        sets.worker_tasks[i].push_back(t);
-        sets.task_workers[static_cast<size_t>(t)].push_back(
-            static_cast<int>(i));
-        ++sets.num_pairs;
+        sets.worker_tasks.push_back(t);
+        by_task[static_cast<size_t>(t)].push_back(static_cast<int32_t>(i));
       }
     }
+    sets.worker_begin.push_back(
+        static_cast<int64_t>(sets.worker_tasks.size()));
   }
+  sets.task_begin.push_back(0);
+  for (const std::vector<int32_t>& row : by_task) {
+    sets.task_workers.insert(sets.task_workers.end(), row.begin(), row.end());
+    sets.task_begin.push_back(
+        static_cast<int64_t>(sets.task_workers.size()));
+  }
+  sets.num_pairs = static_cast<int64_t>(sets.worker_tasks.size());
   return sets;
 }
 
 // Builds the candidates at every pool size and compares each with the
-// exhaustive scan. Returns the pair count so callers can assert the case
-// is not vacuous. The widest pool goes first, so that caches shared by the
-// probes (the road network's shortest paths) are filled under contention.
+// exhaustive scan, every array whole, offsets included. Returns the pair
+// count so callers can assert the case is not vacuous. The widest pool goes
+// first, so that caches shared by the probes (the road network's shortest
+// paths) are filled under contention.
 int64_t ExpectMatchesExhaustive(const BatchProblem& problem) {
   const std::vector<int> pools = {8, 2, 1};
   std::vector<CandidateSets> built;
@@ -61,11 +73,10 @@ int64_t ExpectMatchesExhaustive(const BatchProblem& problem) {
     const CandidateSets& got = built[k];
     const int threads = pools[k];
     EXPECT_EQ(got.num_pairs, want.num_pairs) << "threads " << threads;
+    EXPECT_EQ(got.worker_begin, want.worker_begin) << "threads " << threads;
+    EXPECT_EQ(got.worker_tasks, want.worker_tasks) << "threads " << threads;
+    EXPECT_EQ(got.task_begin, want.task_begin) << "threads " << threads;
     EXPECT_EQ(got.task_workers, want.task_workers) << "threads " << threads;
-    for (size_t i = 0; i < want.worker_tasks.size(); ++i) {
-      EXPECT_EQ(got.worker_tasks[i], want.worker_tasks[i])
-          << "threads " << threads << " worker " << i;
-    }
   }
   return want.num_pairs;
 }
@@ -252,6 +263,182 @@ TEST(CandidateIndexTest, MixedRemainingDistances) {
   EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
 }
 
+// ------------------------------------------------- the offset table ---
+//
+// The index reads every run's bounds from a per-batch (skill, cell) offset
+// table of at most 2 * num_skills + 64 * open tasks entries; a batch whose
+// reach-sized grid would need more coarsens its cells.
+
+#if DASC_METRICS_ENABLED
+// The offset table's bound for `problem`.
+double TableBound(const BatchProblem& problem) {
+  return 2.0 * problem.instance->num_skills() +
+         64.0 * static_cast<double>(problem.open_tasks.size());
+}
+
+// The index's cell count and table size for `problem`, from the gauges
+// BuildCandidates sets.
+struct IndexShape {
+  double cells = 0.0;
+  double table_entries = 0.0;
+};
+IndexShape ShapeOf(const BatchProblem& problem) {
+  BuildCandidates(problem);
+  util::MetricsRegistry& metrics = util::GlobalMetrics();
+  return {metrics.GetGauge("candidates_index_cells")->value(),
+          metrics.GetGauge("candidates_index_table_entries")->value()};
+}
+#endif  // DASC_METRICS_ENABLED
+
+TEST(CandidateIndexTest, TableCapCoarsensTinyReachOverAWideSpread) {
+  // Reach 0.5 over a 1000 x 1000 spread wants ~4M cells per skill; the cap
+  // allows 64 * 300 / 4 = 4800. Half the workers stand on a task, so the
+  // coarse runs still hold hits.
+  util::Rng rng(21);
+  std::vector<Task> tasks;
+  for (int t = 0; t < 300; ++t) {
+    tasks.push_back(MakeTask(t, rng.UniformDouble(0, 1000),
+                             rng.UniformDouble(0, 1000),
+                             static_cast<SkillId>(t % 4)));
+  }
+  std::vector<Worker> workers;
+  for (int w = 0; w < 80; ++w) {
+    const Task& near = tasks[static_cast<size_t>(rng.UniformInt(0, 299))];
+    const geo::Point p = w % 2 == 0 ? near.location
+                                    : geo::Point{rng.UniformDouble(0, 1000),
+                                                 rng.UniformDouble(0, 1000)};
+    workers.push_back(MakeWorker(
+        w, p.x + 0.2, p.y,
+        {near.required_skill, static_cast<SkillId>(rng.UniformInt(0, 3))},
+        0.0, 1e6, 1e3, 0.5));
+  }
+  const Instance instance = MakeInstance(workers, tasks, 4);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+#if DASC_METRICS_ENABLED
+  const IndexShape shape = ShapeOf(problem);
+  EXPECT_GT(shape.cells, 1.0);
+  EXPECT_LE(shape.cells, 64.0 * 300 / 4);
+  EXPECT_LE(shape.table_entries, TableBound(problem));
+#endif
+}
+
+TEST(CandidateIndexTest, TableCapWithManySkillsAndFewOpenTasks) {
+  // 500 skills, 3 of 40 catalog tasks open (three skills), reach 0.1 over a
+  // 10 x 10 box: the grid wants 101 x 101 cells, the cap allows 64.
+  std::vector<Task> tasks;
+  for (int t = 0; t < 40; ++t) {
+    tasks.push_back(MakeTask(t, 0.25 * t, 0.25 * (t % 7),
+                             static_cast<SkillId>((t * 37) % 500)));
+  }
+  tasks[5] = MakeTask(5, 0.0, 0.0, 0);
+  tasks[20] = MakeTask(20, 10.0, 0.0, 250);
+  tasks[33] = MakeTask(33, 0.0, 10.0, 499);
+  std::vector<Worker> workers;
+  const std::vector<geo::Point> spots = {
+      {0.0, 0.05}, {10.0, 0.0}, {0.05, 10.0}, {5.0, 5.0}, {0.0, 0.3}};
+  for (size_t w = 0; w < spots.size(); ++w) {
+    workers.push_back(MakeWorker(static_cast<WorkerId>(w), spots[w].x,
+                                 spots[w].y, {0, 250, 499, 17}, 0.0, 1e6, 1e3,
+                                 0.1));
+  }
+  const Instance instance = MakeInstance(workers, tasks, 500);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  problem.open_tasks = {5, 20, 33};
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 3);
+#if DASC_METRICS_ENABLED
+  const IndexShape shape = ShapeOf(problem);
+  EXPECT_GT(shape.cells, 1.0);
+  EXPECT_LE(shape.cells, 64.0);
+  EXPECT_LE(shape.table_entries, TableBound(problem));
+#endif
+}
+
+TEST(CandidateIndexTest, OneCellZeroWorkersAndZeroOpenTasks) {
+  const Instance instance = ClusteredInstance(13, 40, 60, 3, 0.1);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  // A reach beyond the tasks' spread: one cell.
+  for (WorkerState& state : problem.workers) state.remaining_distance = 5.0;
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+#if DASC_METRICS_ENABLED
+  EXPECT_EQ(ShapeOf(problem).cells, 1.0);
+#endif
+  // No open task: every row on both sides is empty, and the task side
+  // still spans the catalog.
+  BatchProblem closed = problem;
+  closed.open_tasks.clear();
+  EXPECT_EQ(ExpectMatchesExhaustive(closed), 0);
+  const CandidateSets none = BuildCandidates(closed);
+  EXPECT_EQ(none.worker_begin, std::vector<int64_t>(40 + 1, 0));
+  EXPECT_EQ(none.task_begin, std::vector<int64_t>(60 + 1, 0));
+  // No worker.
+  BatchProblem idle = problem;
+  idle.workers.clear();
+  EXPECT_EQ(ExpectMatchesExhaustive(idle), 0);
+  EXPECT_EQ(BuildCandidates(idle).worker_begin, std::vector<int64_t>{0});
+}
+
+TEST(CandidateIndexTest, EmptyFirstAndLastRows) {
+  // Skill 1 tasks sit only on the bottom and top edges, so skill 0's
+  // segment has empty first and last cell rows, and its runs there must
+  // come out empty. Both CSR sides start and end with empty rows too: the
+  // first and last workers serve nothing, and the first and last catalog
+  // tasks have no worker.
+  std::vector<Task> tasks = {MakeTask(0, 0.0, 0.0, 2)};
+  for (int i = 0; i < 10; ++i) {
+    tasks.push_back(MakeTask(static_cast<TaskId>(tasks.size()), 0.1 * i, 0.0,
+                             1));
+    tasks.push_back(MakeTask(static_cast<TaskId>(tasks.size()), 0.1 * i, 1.0,
+                             1));
+    tasks.push_back(MakeTask(static_cast<TaskId>(tasks.size()), 0.1 * i,
+                             0.3 + 0.04 * i, 0));
+  }
+  tasks.push_back(MakeTask(static_cast<TaskId>(tasks.size()), 1.0, 1.0, 2));
+  const std::vector<Worker> workers = {
+      MakeWorker(0, 0.5, 0.0, {0}, 0.0, 1e6, 1e3, 0.1),
+      MakeWorker(1, 0.5, 0.5, {0, 1}, 0.0, 1e6, 1e3, 0.1),
+      MakeWorker(2, 0.3, 1.0, {0, 1}, 0.0, 1e6, 1e3, 0.1),
+      MakeWorker(3, 0.5, 0.45, {0}, 0.0, 1e6, 1e3, 0.1),
+      MakeWorker(4, 0.5, 1.0, {0}, 0.0, 1e6, 1e3, 0.1)};
+  const Instance instance = MakeInstance(workers, tasks, 3);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+  const CandidateSets sets = BuildCandidates(problem);
+  EXPECT_TRUE(sets.WorkerTasks(0).empty());
+  EXPECT_TRUE(sets.WorkerTasks(4).empty());
+  EXPECT_FALSE(sets.WorkerTasks(2).empty());
+  EXPECT_TRUE(sets.TaskWorkers(0).empty());
+  EXPECT_TRUE(sets.TaskWorkers(instance.num_tasks() - 1).empty());
+}
+
+TEST(CandidateIndexTest, TableNeverExceedsItsBound) {
+  // Reaches from zero to beyond the spread, few to many skills, and every
+  // open-task count from one task up, over clustered and uniform layouts.
+  int cases = 0;
+  for (uint64_t seed = 30; seed < 34; ++seed) {
+    for (int num_skills : {1, 7, 300}) {
+      for (double reach : {0.0, 1e-4, 0.02, 0.3, 3.0}) {
+        const Instance instance =
+            ClusteredInstance(seed, 30, 120, num_skills, reach);
+        BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+        problem.open_tasks.resize(
+            static_cast<size_t>(1 + (seed * 37) % 120));
+#if DASC_METRICS_ENABLED
+        const IndexShape shape = ShapeOf(problem);
+        EXPECT_LE(shape.table_entries, TableBound(problem))
+            << "seed " << seed << " skills " << num_skills << " reach "
+            << reach;
+        EXPECT_LE(shape.cells,
+                  64.0 * static_cast<double>(problem.open_tasks.size()));
+#endif
+        if (seed == 30) ExpectMatchesExhaustive(problem);
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 60);
+}
+
 // ------------------------------------------ the probe kernel's edges ---
 //
 // The index tests each entry with ServeFits over the packed task row; the
@@ -272,7 +459,7 @@ TEST(ProbeKernelTest, TasksNotYetArrivedAreSkipped) {
       1);
   const BatchProblem problem = BatchProblem::AllAt(instance, 1.0);
   EXPECT_EQ(ExpectMatchesExhaustive(problem), 2);
-  EXPECT_EQ(BuildCandidates(problem).worker_tasks[0],
+  EXPECT_EQ(RowOf(BuildCandidates(problem).WorkerTasks(0)),
             (std::vector<TaskId>{0, 1}));
 }
 
@@ -284,7 +471,7 @@ TEST(ProbeKernelTest, WorkerPastItsDeadlineServesNothing) {
       {TimedTask(0, 1, 0, 10), TimedTask(1, 2, 0, 10)}, 1);
   const BatchProblem problem = BatchProblem::AllAt(instance, 5.0);
   EXPECT_EQ(ExpectMatchesExhaustive(problem), 2);
-  EXPECT_TRUE(BuildCandidates(problem).worker_tasks[0].empty());
+  EXPECT_TRUE(BuildCandidates(problem).WorkerTasks(0).empty());
 }
 
 TEST(ProbeKernelTest, TaskStartingAfterTheWorkerDeadline) {
@@ -322,7 +509,7 @@ TEST(ProbeKernelTest, ArrivalEqualToExpiry) {
       1);
   const BatchProblem problem = BatchProblem::AllAt(instance, 1.0);
   EXPECT_EQ(ExpectMatchesExhaustive(problem), 3);
-  EXPECT_EQ(BuildCandidates(problem).worker_tasks[0],
+  EXPECT_EQ(RowOf(BuildCandidates(problem).WorkerTasks(0)),
             (std::vector<TaskId>{0, 2, 3}));
 }
 
@@ -456,7 +643,8 @@ TEST(GridIndexTest, BoundaryInclusive) {
   problem.workers[2].remaining_distance = 0.5;
   EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
   // Worker 0 reaches every exact-distance task, but not 1.0000001.
-  const std::vector<TaskId> w0 = BuildCandidates(problem).worker_tasks[0];
+  const std::vector<TaskId> w0 =
+      RowOf(BuildCandidates(problem).WorkerTasks(0));
   for (TaskId t : {0, 1, 2, 3, 4, 5, 9}) {
     EXPECT_EQ(std::count(w0.begin(), w0.end(), t), 1) << "task " << t;
   }
@@ -502,7 +690,7 @@ TEST(GridIndexTest, CollinearPointsDegenerateBox) {
       PointsInstance(tasks, {{0.95, 3.0}, {0.95, 3.1}, {-1, 3}}, 0.16);
   const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
   const CandidateSets sets = BuildCandidates(problem);
-  EXPECT_EQ(sets.worker_tasks[0], (std::vector<TaskId>{8, 9, 10, 11}));
+  EXPECT_EQ(RowOf(sets.WorkerTasks(0)), (std::vector<TaskId>{8, 9, 10, 11}));
   EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
   // A vertical line: zero width, one column of cells.
   std::vector<geo::Point> column;

@@ -9,6 +9,7 @@
 #include "core/feasibility.h"
 #include "core/instance.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace dasc::core {
 namespace {
@@ -274,7 +275,8 @@ TEST(BatchTest, CandidatesMatchBruteForce) {
         expected.push_back(t);
       }
     }
-    EXPECT_EQ(sets.worker_tasks[i], expected) << "worker " << i;
+    EXPECT_EQ(testing::RowOf(sets.WorkerTasks(i)), expected)
+        << "worker " << i;
   }
 }
 
@@ -299,7 +301,8 @@ TEST(BatchTest, CandidatesGridAndScanAgree) {
       }
     }
     pairs += static_cast<int64_t>(expected.size());
-    EXPECT_EQ(sets.worker_tasks[i], expected) << "worker " << i;
+    EXPECT_EQ(testing::RowOf(sets.WorkerTasks(i)), expected)
+        << "worker " << i;
   }
   EXPECT_EQ(sets.num_pairs, pairs);
 }
@@ -309,8 +312,8 @@ TEST(BatchTest, TaskWorkersIsInverse) {
   const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
   const CandidateSets sets = BuildCandidates(problem);
   for (int t = 0; t < instance.num_tasks(); ++t) {
-    for (int wi : sets.task_workers[static_cast<size_t>(t)]) {
-      const auto& tasks = sets.worker_tasks[static_cast<size_t>(wi)];
+    for (int wi : sets.TaskWorkers(t)) {
+      const auto tasks = sets.WorkerTasks(static_cast<size_t>(wi));
       EXPECT_TRUE(std::binary_search(tasks.begin(), tasks.end(), t));
     }
   }
@@ -369,6 +372,83 @@ TEST(AssignmentTest, ExclusivityFirstPairWins) {
   const Assignment valid = ValidPairs(problem, assignment);
   ASSERT_EQ(valid.size(), 1);
   EXPECT_EQ(valid.pairs()[0], (std::pair<WorkerId, TaskId>{0, 0}));
+}
+
+TEST(AssignmentTest, SplitPairsDedupsAndCreditsInBothDependencyModes) {
+  // Example 1: t2 (1) depends on t1 (0); t5 (4) depends on t4 (3).
+  const Instance instance = Example1();
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  using Pairs = std::vector<std::pair<WorkerId, TaskId>>;
+  Assignment assignment;
+  assignment.Add(0, 3);  // kept
+  assignment.Add(0, 0);  // duplicate worker: dropped, so t1 gets no credit
+  assignment.Add(1, 3);  // duplicate task: dropped
+  assignment.Add(1, 4);  // kept: w2's first kept pair; t4 credited in batch
+  assignment.Add(2, 1);  // kept: t2's dependency t1 was dropped above
+  assignment.Add(2, 0);  // duplicate worker: dropped
+  SplitAssignment split = SplitPairs(problem, assignment);
+  EXPECT_EQ(split.valid.pairs(), (Pairs{{0, 3}, {1, 4}}));
+  EXPECT_EQ(split.invalid.pairs(), (Pairs{{2, 1}}));
+
+  // Completion mode: only earlier batches credit a dependency.
+  problem.in_batch_dependency_credit = false;
+  split = SplitPairs(problem, assignment);
+  EXPECT_EQ(split.valid.pairs(), (Pairs{{0, 3}}));
+  EXPECT_EQ(split.invalid.pairs(), (Pairs{{1, 4}, {2, 1}}));
+  problem.assigned_before[0] = 1;
+  problem.assigned_before[3] = 1;
+  split = SplitPairs(problem, assignment);
+  EXPECT_EQ(split.valid.pairs(), (Pairs{{0, 3}, {1, 4}, {2, 1}}));
+  EXPECT_TRUE(split.invalid.empty());
+}
+
+// The first-occurrence-wins rule written with hash sets over the catalog,
+// against SplitPairs on random assignments full of repeated ids.
+TEST(AssignmentTest, SplitPairsMatchesHashSetReference) {
+  testing::RandomInstanceParams params;
+  params.num_workers = 12;
+  params.num_tasks = 30;
+  const Instance instance = testing::RandomInstance(41, params);
+  util::Rng rng(42);
+  for (int round = 0; round < 200; ++round) {
+    BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+    problem.in_batch_dependency_credit = round % 2 == 0;
+    for (uint8_t& before : problem.assigned_before) {
+      before = rng.UniformInt(0, 3) == 0 ? 1 : 0;
+    }
+    Assignment assignment;
+    const int64_t size = rng.UniformInt(0, 40);
+    for (int64_t k = 0; k < size; ++k) {
+      assignment.Add(static_cast<WorkerId>(rng.UniformInt(0, 11)),
+                     static_cast<TaskId>(rng.UniformInt(0, 29)));
+    }
+    std::vector<uint8_t> used_worker(12, 0), used_task(30, 0), credit(30, 0);
+    std::vector<std::pair<WorkerId, TaskId>> kept;
+    for (const auto& [w, t] : assignment.pairs()) {
+      if (used_worker[static_cast<size_t>(w)] ||
+          used_task[static_cast<size_t>(t)]) {
+        continue;
+      }
+      used_worker[static_cast<size_t>(w)] = used_task[static_cast<size_t>(t)] =
+          1;
+      kept.emplace_back(w, t);
+      if (problem.in_batch_dependency_credit) {
+        credit[static_cast<size_t>(t)] = 1;
+      }
+    }
+    std::vector<std::pair<WorkerId, TaskId>> valid, invalid;
+    for (const auto& [w, t] : kept) {
+      bool met = true;
+      for (TaskId f : instance.DepClosure(t)) {
+        met = met && (problem.TaskAssignedBefore(f) ||
+                      credit[static_cast<size_t>(f)] != 0);
+      }
+      (met ? valid : invalid).emplace_back(w, t);
+    }
+    const SplitAssignment split = SplitPairs(problem, assignment);
+    EXPECT_EQ(split.valid.pairs(), valid) << "round " << round;
+    EXPECT_EQ(split.invalid.pairs(), invalid) << "round " << round;
+  }
 }
 
 TEST(AssignmentTest, ValidateCatchesSkillViolation) {

@@ -3,6 +3,7 @@
 #ifndef DASC_TESTS_TEST_UTIL_H_
 #define DASC_TESTS_TEST_UTIL_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,13 @@ inline void MutateByte(util::Rng& rng, std::string& s) {
       s.insert(pos, 1, s[pos]);
       break;
   }
+}
+
+// One CandidateSets row (WorkerTasks / TaskWorkers) as a vector, for
+// EXPECT_EQ against an expected list.
+template <typename T>
+std::vector<T> RowOf(std::span<const T> row) {
+  return std::vector<T>(row.begin(), row.end());
 }
 
 // Worker present from t=0 for a long time, fast and far-ranging by default.

@@ -28,7 +28,7 @@ std::vector<std::vector<TaskId>> StrategySets(const BatchProblem& problem) {
   const auto candidates = core::BuildCandidates(problem);
   std::vector<std::vector<TaskId>> sets(problem.workers.size());
   for (size_t i = 0; i < problem.workers.size(); ++i) {
-    sets[i] = candidates.worker_tasks[i];
+    sets[i] = testing::RowOf(candidates.WorkerTasks(i));
     sets[i].push_back(core::kInvalidId);  // idle
   }
   return sets;
@@ -122,7 +122,7 @@ TEST(TheoryTest, MonotonicityOfSum) {
     int previous = 0;
     std::vector<uint8_t> used(static_cast<size_t>(instance.num_tasks()), 0);
     for (size_t i = 0; i < problem.workers.size(); ++i) {
-      for (TaskId t : candidates.worker_tasks[i]) {
+      for (TaskId t : candidates.WorkerTasks(i)) {
         if (!used[static_cast<size_t>(t)]) {
           used[static_cast<size_t>(t)] = 1;
           assignment.Add(problem.workers[i].id, t);
