@@ -15,12 +15,8 @@
 //     best-response (game on cached candidates), and total (full G-G);
 //   * the serial-vs-parallel BuildCandidates regression guard at scale 1.0
 //     (paper-size 5000x5000 synthetic) for threads in {1, 2, 4, 8};
-//   * the incremental-candidate comparison on a delta-dominated batch
-//     sequence: candidate_build_scratch (per-batch from-scratch rebuilds)
-//     vs candidate_build_incremental (one persistent
-//     IncrementalCandidateView), acceptance floor >= 3x, plus the
-//     candidate_zero_delta_ms bookkeeping guard budgeted at <= 3% of
-//     sim_batch_ms;
+//   * candidate_build_scratch: per-batch candidate builds over a
+//     delta-dominated batch sequence;
 //   * the observability overhead guard: the same full G-G batch with the
 //     metrics runtime kill switch on (batch_metrics_on) vs off
 //     (batch_metrics_off) — the acceptance budget is <= 3% overhead
@@ -65,7 +61,6 @@
 #include "algo/greedy.h"
 #include "core/assignment.h"
 #include "core/batch.h"
-#include "core/candidate_view.h"
 #include "sim/audit.h"
 #include "sim/ledger.h"
 #include "sim/metrics_timeseries.h"
@@ -278,9 +273,7 @@ std::vector<MicroEntry> CollectMicroEntries(int reps) {
     //   * matching_cold — every knob off: the historical re-solve-everything
     //     scan over the CSR layout (the incremental kernel's control);
     //   * matching_warm — a persistent allocator re-allocating an identical
-    //     batch, so every first evaluation hits the cross-batch warm store;
-    //   * matching_delta — dual-certificate delta repair instead of cold
-    //     re-solves after commits.
+    //     batch, so every first evaluation hits the cross-batch warm store.
     entries.push_back(TimeMicro("matching_cold", reps, [&] {
       algo::GreedyOptions options;
       options.incremental_cache = false;
@@ -296,12 +289,6 @@ std::vector<MicroEntry> CollectMicroEntries(int reps) {
         benchmark::DoNotOptimize(warm.Allocate(cached));
       }));
     }
-    entries.push_back(TimeMicro("matching_delta", reps, [&] {
-      algo::GreedyOptions options;
-      options.delta_repair = true;
-      algo::GreedyAllocator greedy(options);
-      benchmark::DoNotOptimize(greedy.Allocate(cached));
-    }));
     entries.push_back(TimeMicro("best_response", reps, [&] {
       algo::GameOptions options;
       options.threshold = 0.05;
@@ -338,17 +325,12 @@ std::vector<MicroEntry> CollectMicroEntries(int reps) {
     util::SetThreads(saved_threads);
   }
 
-  // Incremental-candidate maintenance vs scratch rebuilds (DESIGN.md §17) on
-  // a delta-dominated batch sequence: staggered arrivals over 100 model time
-  // units with ~70-unit lifetimes, batched at interval 1.0, so each batch
-  // changes a few percent of a market of several hundred live workers and
-  // open tasks — the regime the view is built for. candidate_build_scratch
-  // runs BuildCandidates + BuildCandidateEdges from scratch on every batch
-  // of the sequence; candidate_build_incremental drives one persistent
-  // IncrementalCandidateView through the same sequence (first batch pays the
-  // resync rebuild, every later batch is O(delta) probes + publish). Both
-  // are reported as whole-sequence wall time; the acceptance floor is a
-  // >= 3x ratio.
+  // Candidate builds on a delta-dominated batch sequence: staggered
+  // arrivals over 100 model time units with ~70-unit lifetimes, batched at
+  // interval 1.0, so each batch changes a few percent of a market of several
+  // hundred live workers and open tasks. candidate_build_scratch runs
+  // BuildCandidates + BuildCandidateEdges on every batch of the sequence,
+  // reported as whole-sequence wall time.
   {
     gen::SyntheticParams params;
     params.num_workers = 1500;
@@ -387,33 +369,6 @@ std::vector<MicroEntry> CollectMicroEntries(int reps) {
         benchmark::DoNotOptimize(core::BuildCandidates(problem));
         benchmark::DoNotOptimize(core::BuildCandidateEdges(problem));
       }
-    }));
-    entries.push_back(TimeMicro("candidate_build_incremental", reps, [&] {
-      core::IncrementalCandidateView view(instance);
-      for (core::BatchProblem& problem : sequence) {
-        view.Update(problem);
-        benchmark::DoNotOptimize(problem.edges_cache);
-        // The simulator destroys each BatchProblem (and with it the cache
-        // references) at batch end; dropping them here matches that and lets
-        // the view recycle its retired publish buffers.
-        problem.InvalidateCandidates();
-      }
-    }));
-  }
-
-  // Stamp-bookkeeping overhead guard for the incremental view: a zero-delta
-  // Update on the reduced Table V batch (nothing arrived, moved, or
-  // expired) still pays the full diff scan, the generation stamping, and
-  // the publish copy — the per-batch floor the design budgets at <= 3% of
-  // sim_batch_ms (DESIGN.md §17).
-  {
-    const core::Instance instance = MakeBatchInstance(4);
-    core::BatchProblem problem = core::BatchProblem::AllAt(instance, 0.0);
-    core::IncrementalCandidateView view(instance);
-    view.Update(problem);  // resync rebuild, outside the timed region
-    entries.push_back(TimeMicro("candidate_zero_delta_ms", reps, [&] {
-      view.Update(problem);
-      benchmark::DoNotOptimize(problem.edges_cache);
     }));
   }
 

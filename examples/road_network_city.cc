@@ -4,15 +4,13 @@
 // Builds the Meetup-like Hong Kong workload, then compares allocation under
 // straight-line Euclidean distance vs. shortest paths through a synthetic
 // road network (detoured streets, some blocked), including how much farther
-// workers actually travel. Also demonstrates the KD-tree index on the
-// clustered task locations.
+// workers actually travel.
 //
 //   ./road_network_city
 #include <cstdio>
 
 #include "algo/greedy.h"
 #include "gen/meetup.h"
-#include "geo/kdtree.h"
 #include "geo/road_network.h"
 #include "sim/metrics.h"
 
@@ -27,15 +25,6 @@ int main() {
 
   std::printf("Road-network city: %d workers, %d tasks in the Hong Kong box\n\n",
               instance->num_workers(), instance->num_tasks());
-
-  // A KD-tree over the clustered task sites: how many tasks sit within a
-  // 0.02-degree walk of the city's busiest task?
-  std::vector<geo::Point> sites;
-  for (const auto& t : instance->tasks()) sites.push_back(t.location);
-  geo::KdTree index(sites);
-  const auto dense = index.QueryRadius(sites[0], 0.02);
-  std::printf("KD-tree: %zu tasks within 0.02 deg of task 0's site\n\n",
-              dense.size());
 
   const geo::RoadNetwork network = geo::RoadNetwork::MakeGrid(
       params.lon_min, params.lat_min, params.lon_max, params.lat_max, {});

@@ -16,7 +16,6 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 #include "util/tracing.h"
 
 namespace dasc::algo {
@@ -69,16 +68,12 @@ enum class CacheState : uint8_t {
   kInfeasible,  // proven infeasible at the current `remaining` (the
                 // historical fail_size skip: worker pools only shrink, so
                 // this persists until a member is assigned elsewhere)
-  kRepair,      // feasible attempt invalidated by a commit, but its dual
-                // certificate (`duals`) allows a delta re-solve
 };
 
 // Result of one matching attempt for an associative set.
 struct MatchAttempt {
   double cost = 0.0;
-  // Parallel arrays: task -> worker index (into problem.workers). A -1
-  // worker marks a row dropped by a delta repair (member assigned via
-  // another set after the original solve).
+  // Parallel arrays: task -> worker index (into problem.workers).
   std::vector<TaskId> tasks;
   std::vector<int> workers;
 };
@@ -93,10 +88,8 @@ struct AssocSet {
   bool warm_store = false;    // store the next fresh solve into the store
   bool union_touched = false;  // a commit touched this set (member or union
                                // worker consumed); disables the warm fast path
-  bool has_duals = false;     // `duals` certifies `attempt` (Hungarian only)
   int last_eval_iter = -1;    // outer iteration of the last evaluation
   MatchAttempt attempt;
-  matching::SparseDuals duals;
 };
 
 class GreedyRun {
@@ -157,8 +150,6 @@ class GreedyRun {
   int WarmCheck(AssocSet& set);
   // Records a flagged set's fresh solve result into the warm store.
   void StoreWarmResult(const AssocSet& set);
-  // Delta re-solve of an invalidated feasible attempt from its duals.
-  void RepairSet(AssocSet& set);
   void Commit(AssocSet& win, core::Assignment* out);
 
   int iterations_ = 0;
@@ -196,7 +187,6 @@ class GreedyRun {
   matching::SparseAssignmentSolver solver_;  // serial solver
   std::vector<TaskId> tasks_scratch_;
   std::vector<matching::SparseRow> rows_scratch_;
-  std::vector<uint8_t> row_live_scratch_;
   std::vector<int> pending_;  // parallel-phase set indices
 
   // Dense-backend column compaction scratch (first-appearance order, the
@@ -291,10 +281,7 @@ void GreedyRun::CompactBucket(int r) {
 void GreedyRun::MaybeDowngrade(AssocSet& set) {
   if (options_.incremental_cache) return;
   if (set.last_eval_iter == outer_iter_) return;
-  if (set.cache == CacheState::kFeasible || set.cache == CacheState::kRepair) {
-    set.cache = CacheState::kNone;
-    set.has_duals = false;
-  }
+  if (set.cache == CacheState::kFeasible) set.cache = CacheState::kNone;
 }
 
 void GreedyRun::BuildRows(const AssocSet& set, std::vector<TaskId>* tasks,
@@ -316,15 +303,13 @@ void GreedyRun::SolveOne(AssocSet& set, matching::SparseAssignmentSolver& solver
                          std::vector<matching::SparseRow>& rows) {
   BuildRows(set, &tasks, &rows);
   set.last_eval_iter = outer_iter_;
-  set.has_duals = false;
   if (tasks.empty()) {
     set.cache = CacheState::kInfeasible;
     return;
   }
   if (options_.backend == GreedyOptions::MatchingBackend::kHungarian) {
     matching::SparseAssignmentResult result = solver.Solve(
-        rows.data(), static_cast<int>(tasks.size()), worker_available_.data(),
-        options_.delta_repair ? &set.duals : nullptr);
+        rows.data(), static_cast<int>(tasks.size()), worker_available_.data());
     if (!result.feasible) {
       set.cache = CacheState::kInfeasible;
       return;
@@ -333,7 +318,6 @@ void GreedyRun::SolveOne(AssocSet& set, matching::SparseAssignmentSolver& solver
     set.attempt.tasks = tasks;
     set.attempt.workers.assign(result.row_to_col.begin(),
                                result.row_to_col.end());
-    set.has_duals = options_.delta_repair;
     set.cache = CacheState::kFeasible;
     return;
   }
@@ -442,7 +426,6 @@ int GreedyRun::WarmCheck(AssocSet& set) {
         set.warm_checked = true;
         GreedyWarmState::Entry& hit = it->second;
         set.last_eval_iter = outer_iter_;
-        set.has_duals = false;
         if (!hit.feasible) {
           set.cache = CacheState::kInfeasible;
         } else {
@@ -505,7 +488,6 @@ int GreedyRun::WarmCheck(AssocSet& set) {
     // return (exact double equality above — any drift falls back cold).
     const GreedyWarmState::Entry& hit = it->second;
     set.last_eval_iter = outer_iter_;
-    set.has_duals = false;
     if (!hit.feasible) {
       set.cache = CacheState::kInfeasible;
     } else {
@@ -543,41 +525,6 @@ void GreedyRun::StoreWarmResult(const AssocSet& set) {
           problem_.workers[static_cast<size_t>(set.attempt.workers[r])].id;
     }
   }
-}
-
-void GreedyRun::RepairSet(AssocSet& set) {
-  MatchAttempt& attempt = set.attempt;
-  const int n = static_cast<int>(attempt.tasks.size());
-  rows_scratch_.clear();
-  row_live_scratch_.clear();
-  for (int r = 0; r < n; ++r) {
-    const TaskId m = attempt.tasks[static_cast<size_t>(r)];
-    const int64_t b = edges_.row_begin[static_cast<size_t>(m)];
-    const int64_t e = edges_.row_begin[static_cast<size_t>(m) + 1];
-    rows_scratch_.push_back({edges_.workers.data() + b,
-                             edges_.travel_time.data() + b, e - b});
-    row_live_scratch_.push_back(assigned_[static_cast<size_t>(m)] ? 0 : 1);
-  }
-  matching::SparseAssignmentResult prev;
-  prev.feasible = true;
-  prev.cost = attempt.cost;
-  prev.row_to_col.assign(attempt.workers.begin(), attempt.workers.end());
-
-  util::WallTimer timer;
-  const int repaired =
-      solver_.Repair(rows_scratch_.data(), n, worker_available_.data(),
-                     row_live_scratch_.data(), &prev, &set.duals);
-  DASC_METRIC_HISTOGRAM_OBSERVE("matching_delta_repair_ms",
-                                timer.ElapsedMillis());
-  set.last_eval_iter = outer_iter_;
-  if (repaired < 0) {
-    set.cache = CacheState::kInfeasible;
-    set.has_duals = false;
-    return;
-  }
-  attempt.cost = prev.cost;
-  attempt.workers.assign(prev.row_to_col.begin(), prev.row_to_col.end());
-  set.cache = CacheState::kFeasible;  // duals were updated in place
 }
 
 void GreedyRun::EvaluateFresh(AssocSet& set) {
@@ -670,10 +617,6 @@ bool GreedyRun::EvaluateClassAndCommit(std::vector<int>& bucket,
       case CacheState::kNone:
         EvaluateFresh(set);
         break;
-      case CacheState::kRepair:
-        RepairSet(set);
-        if (set.cache == CacheState::kFeasible) ++warm_hits_;
-        break;
       case CacheState::kFeasible:
         // Untouched since its solve: the inputs are unchanged, so the cached
         // attempt is exactly what a re-solve would return.
@@ -710,7 +653,6 @@ void GreedyRun::Commit(AssocSet& win, core::Assignment* out) {
 
   for (size_t r = 0; r < win.attempt.tasks.size(); ++r) {
     const int wi = win.attempt.workers[r];
-    if (wi < 0) continue;  // row dropped by an earlier delta repair
     const TaskId m = win.attempt.tasks[r];
     out->Add(problem_.workers[static_cast<size_t>(wi)].id, m);
     DASC_CHECK(!assigned_[static_cast<size_t>(m)]);
@@ -733,20 +675,16 @@ void GreedyRun::Commit(AssocSet& win, core::Assignment* out) {
     switch (set.cache) {
       case CacheState::kFeasible:
         // The cached matching may use a consumed worker or a now-assigned
-        // member; either repair from the dual certificate or re-solve.
-        set.cache = (options_.delta_repair && set.has_duals)
-                        ? CacheState::kRepair
-                        : CacheState::kNone;
+        // member: re-solve.
+        set.cache = CacheState::kNone;
         break;
       case CacheState::kInfeasible:
         if (touch_member_[static_cast<size_t>(si)]) {
           // The set shrank: infeasibility no longer proven (fail_size reset).
           set.cache = CacheState::kNone;
-          set.has_duals = false;
         }
         break;
       case CacheState::kNone:
-      case CacheState::kRepair:
         break;
     }
     if (touch_member_[static_cast<size_t>(si)] && set.remaining > 0 &&
@@ -837,22 +775,10 @@ core::Assignment GreedyAllocator::Allocate(const core::BatchProblem& problem) {
     warm_ = std::make_unique<GreedyWarmState>();
   }
   if (options_.warm_start && warm_->prev_edges != nullptr) {
-    const core::CandidateEdges& cur = problem.Edges();
-    if (cur.publish_seq >= 0 &&
-        (warm_->prev_edges->publish_seq == cur.publish_seq - 1 ||
-         warm_->prev_edges.get() == &cur) &&
-        !cur.row_unchanged.empty()) {
-      // The incremental candidate view prefilled row_unchanged at publish
-      // time, relative to exactly warm_->prev_edges (consecutive
-      // publish_seq — or the very same object re-stamped by the zero-delta
-      // publish-reuse path): the O(edges) compare is already done.
-      DASC_METRIC_COUNTER_INC("matching_epoch_prefill_hits_total");
-    } else {
-      // Stamp batch-epoch dirty bits against the previous batch's edges so
-      // WarmCheck can take the snapshot-free fast path on unchanged rows.
-      problem.MarkEdgesUnchangedSince(*warm_->prev_edges,
-                                      warm_->prev_worker_ids);
-    }
+    // Stamp batch-epoch dirty bits against the previous batch's edges so
+    // WarmCheck can take the snapshot-free fast path on unchanged rows.
+    problem.MarkEdgesUnchangedSince(*warm_->prev_edges,
+                                    warm_->prev_worker_ids);
   }
   GreedyRun run(problem, options_, options_.warm_start ? warm_.get() : nullptr);
   core::Assignment assignment = run.Run();

@@ -53,13 +53,6 @@ struct GreedyOptions {
   // on any delta. Exact by construction; `matching_warm_start_hits_total` /
   // `matching_cold_solves_total` count the split.
   bool warm_start = true;
-  // Delta repair: when a cached feasible matching is invalidated by a
-  // consumed worker or an assigned member, keep its dual certificate and
-  // re-augment only the broken rows instead of cold-solving. Guaranteed to
-  // match the cold solve's cost and size (optimality is preserved — see
-  // DESIGN.md §13) but may pick a different equal-cost matching under ties,
-  // so it is opt-in.
-  bool delta_repair = false;
   // When a size class holds at least this many sets, fan fresh solves out
   // over util::ParallelFor (Hungarian backend; solves are independent,
   // selection stays sequential, output is bit-identical at every thread
@@ -91,11 +84,11 @@ class GreedyAllocator : public core::Allocator {
   // Commit iterations of the last Allocate() call. Lemma III.1 bounds this
   // by min(n_b, m_b); asserted in tests.
   int last_iterations() const { return last_iterations_; }
-  // Matching evaluations (fresh solves, cache reuses, warm-start hits, and
-  // delta repairs) of the last call.
+  // Matching evaluations (fresh solves, cache reuses and warm-start hits)
+  // of the last call.
   int64_t last_match_attempts() const { return last_match_attempts_; }
   // Reuse split of the last call: evaluations answered from the attempt
-  // cache / warm store / delta repair vs full solves.
+  // cache / warm store vs full solves.
   int64_t last_warm_hits() const { return last_warm_hits_; }
   int64_t last_cold_solves() const { return last_cold_solves_; }
 

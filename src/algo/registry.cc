@@ -26,15 +26,6 @@ util::Result<std::unique_ptr<core::Allocator>> CreateAllocator(
     options.backend = GreedyOptions::MatchingBackend::kAuction;
     return std::unique_ptr<core::Allocator>(new GreedyAllocator(options));
   }
-  if (name == "greedy-delta") {
-    // Delta-repair variant: re-augments invalidated matchings from their
-    // dual certificates instead of cold-solving. Same score/cost guarantees
-    // as "greedy" (see GreedyOptions::delta_repair), possibly different
-    // equal-cost matchings; in the registry for stress-sweep coverage.
-    GreedyOptions options;
-    options.delta_repair = true;
-    return std::unique_ptr<core::Allocator>(new GreedyAllocator(options));
-  }
   if (name == "greedy-ls") {
     return std::unique_ptr<core::Allocator>(new LocalSearchAllocator(
         std::unique_ptr<core::Allocator>(new GreedyAllocator())));
@@ -91,10 +82,9 @@ util::Result<std::vector<std::unique_ptr<core::Allocator>>> CreateAllocators(
 }
 
 std::vector<std::string> KnownAllocatorNames() {
-  return {"greedy",  "greedy-hk", "greedy-auction", "greedy-delta",
-          "greedy-ls", "game",    "game5",          "gg",
-          "closest", "random",    "maxmatch",       "urgency",
-          "dfs"};
+  return {"greedy",  "greedy-hk", "greedy-auction", "greedy-ls",
+          "game",    "game5",     "gg",             "closest",
+          "random",  "maxmatch",  "urgency",        "dfs"};
 }
 
 }  // namespace dasc::algo

@@ -141,14 +141,7 @@ struct CandidateEdges {
   // Batch-epoch dirty bits, filled by MarkEdgesUnchangedSince (empty until
   // then): row_unchanged[t] != 0 iff task t's edge list is identical to the
   // previous batch's, letting warm-start consumers skip snapshot compares.
-  // core::IncrementalCandidateView prefills them at publish time.
   std::vector<uint8_t> row_unchanged;
-  // Monotone publish id stamped by core::IncrementalCandidateView (-1 for
-  // scratch-built edges). When two batches carry consecutive publish_seq
-  // values, any prefilled row_unchanged bits are relative to exactly the
-  // previous publish, so warm-start consumers (algo/greedy.cc) can trust
-  // them without re-running MarkEdgesUnchangedSince.
-  int64_t publish_seq = -1;
 
   int64_t num_edges() const { return static_cast<int64_t>(workers.size()); }
 };

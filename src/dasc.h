@@ -20,7 +20,6 @@
 #include "gen/meetup.h"          // IWYU pragma: export
 #include "gen/perturb.h"         // IWYU pragma: export
 #include "gen/synthetic.h"       // IWYU pragma: export
-#include "geo/kdtree.h"          // IWYU pragma: export
 #include "geo/road_network.h"    // IWYU pragma: export
 #include "graph/dag_stats.h"     // IWYU pragma: export
 #include "io/instance_io.h"      // IWYU pragma: export

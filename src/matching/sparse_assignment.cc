@@ -106,8 +106,7 @@ bool SparseAssignmentSolver::Augment(int row, const SparseRow* rows,
 
 SparseAssignmentResult SparseAssignmentSolver::Solve(const SparseRow* rows,
                                                      int num_rows,
-                                                     const uint8_t* avail,
-                                                     SparseDuals* duals) {
+                                                     const uint8_t* avail) {
   SparseAssignmentResult result;
   result.row_to_col.assign(static_cast<size_t>(num_rows), -1);
   if (num_rows == 0) {
@@ -158,184 +157,7 @@ SparseAssignmentResult SparseAssignmentSolver::Solve(const SparseRow* rows,
   }
   result.feasible = true;
   result.cost = total;
-
-  if (duals != nullptr) {
-    duals->row_dual.assign(u_.begin() + 1,
-                           u_.begin() + 1 + num_rows);
-    duals->cols.assign(rank_cols_.begin(), rank_cols_.begin() + k);
-    duals->col_dual.assign(v_.begin() + 1, v_.begin() + 1 + k);
-  }
   return result;
-}
-
-int SparseAssignmentSolver::Repair(const SparseRow* rows, int num_rows,
-                                   const uint8_t* avail,
-                                   const uint8_t* row_live,
-                                   SparseAssignmentResult* prev,
-                                   SparseDuals* prev_duals) {
-  DASC_CHECK(prev != nullptr && prev_duals != nullptr);
-  DASC_CHECK(prev->feasible) << "Repair needs a feasible previous solution";
-  DASC_CHECK_EQ(static_cast<int>(prev->row_to_col.size()), num_rows);
-
-  auto live = [&](int r) { return row_live == nullptr || row_live[r] != 0; };
-  int live_rows = 0;
-  for (int r = 0; r < num_rows; ++r) {
-    if (live(r)) ++live_rows;
-  }
-  if (live_rows == 0) {
-    prev->row_to_col.assign(static_cast<size_t>(num_rows), -1);
-    prev->cost = 0.0;
-    return 0;
-  }
-
-  // Compact the shrunken union. The caller guarantees availability only
-  // shrank and costs are unchanged, so the union is a subset of the one the
-  // stored duals cover — every current column gets its stored potential and
-  // dual feasibility carries over edge by edge.
-  augment_steps_ = 0;
-  int k = 0;
-  {
-    if (++epoch_ == 0) {
-      std::fill(rank_epoch_.begin(), rank_epoch_.end(), 0u);
-      epoch_ = 1;
-    }
-    for (int r = 0; r < num_rows; ++r) {
-      if (!live(r)) continue;
-      for (int64_t e = 0; e < rows[r].size; ++e) {
-        const int32_t c = rows[r].cols[e];
-        if (avail != nullptr && avail[c] == 0) continue;
-        if (rank_epoch_[static_cast<size_t>(c)] != epoch_) {
-          rank_epoch_[static_cast<size_t>(c)] = epoch_;
-          rank_of_[static_cast<size_t>(c)] = k;
-          rank_cols_[static_cast<size_t>(k)] = c;
-          ++k;
-        }
-      }
-    }
-  }
-  auto fail = [&]() {
-    prev->feasible = false;
-    prev->row_to_col.assign(static_cast<size_t>(num_rows), -1);
-    DASC_METRIC_COUNTER_ADD("matching_sparse_augment_steps_total",
-                            augment_steps_);
-    return -1;
-  };
-  if (live_rows > k) return fail();
-
-  u_.assign(static_cast<size_t>(num_rows) + 1, 0.0);
-  v_.assign(static_cast<size_t>(k) + 1, 0.0);
-  match_.assign(static_cast<size_t>(k) + 1, 0);
-  way_.assign(static_cast<size_t>(k) + 1, 0);
-  for (int r = 0; r < num_rows; ++r) {
-    if (live(r)) u_[static_cast<size_t>(r + 1)] = prev_duals->row_dual[r];
-  }
-  for (size_t idx = 0; idx < prev_duals->cols.size(); ++idx) {
-    const int32_t c = prev_duals->cols[idx];
-    if (rank_epoch_[static_cast<size_t>(c)] == epoch_) {
-      v_[static_cast<size_t>(rank_of_[static_cast<size_t>(c)] + 1)] =
-          prev_duals->col_dual[idx];
-    }
-  }
-
-  // Keep surviving matched edges (still tight under the loaded duals).
-  row_matched_.assign(static_cast<size_t>(num_rows), 0);
-  for (int r = 0; r < num_rows; ++r) {
-    if (!live(r)) continue;
-    const int32_t c = prev->row_to_col[static_cast<size_t>(r)];
-    if (c >= 0 && (avail == nullptr || avail[c] != 0)) {
-      match_[static_cast<size_t>(rank_of_[static_cast<size_t>(c)] + 1)] =
-          r + 1;
-      row_matched_[static_cast<size_t>(r)] = 1;
-    }
-  }
-
-  // Deletions break the optimality certificate, not just the matching: in
-  // the unbalanced case optimality needs zero potential on every unmatched
-  // column, and a column freed by a dead row keeps its negative potential.
-  // SSP resumed from such a state returns feasible but possibly
-  // non-minimum matchings. Restore the certificate first: raise each freed
-  // negative column to zero, lower any row potential the raise made
-  // infeasible, and unmatch rows whose matched edge thereby went slack —
-  // which can free further columns, so iterate to the fixpoint (each row
-  // unmatches at most once, so it terminates).
-  for (;;) {
-    for (int j = 1; j <= k; ++j) {
-      if (match_[static_cast<size_t>(j)] == 0 &&
-          v_[static_cast<size_t>(j)] < 0.0) {
-        v_[static_cast<size_t>(j)] = 0.0;
-      }
-    }
-    bool freed_any = false;
-    for (int r = 0; r < num_rows; ++r) {
-      if (!live(r)) continue;
-      const SparseRow& row = rows[r];
-      double lo = kInf;
-      for (int64_t e = 0; e < row.size; ++e) {
-        const int32_t c = row.cols[e];
-        if (avail != nullptr && avail[c] == 0) continue;
-        const double slack =
-            row.costs[e] -
-            v_[static_cast<size_t>(rank_of_[static_cast<size_t>(c)] + 1)];
-        if (slack < lo) lo = slack;
-      }
-      if (lo < u_[static_cast<size_t>(r + 1)]) {
-        u_[static_cast<size_t>(r + 1)] = lo;
-        if (row_matched_[static_cast<size_t>(r)]) {
-          // The matched edge contributed cost - v to `lo`; a strictly
-          // smaller minimum means that edge is now slack.
-          const int32_t c = prev->row_to_col[static_cast<size_t>(r)];
-          match_[static_cast<size_t>(rank_of_[static_cast<size_t>(c)] + 1)] =
-              0;
-          row_matched_[static_cast<size_t>(r)] = 0;
-          freed_any = true;
-        }
-      }
-    }
-    if (!freed_any) break;
-  }
-
-  // Everything still unmatched re-augments in ascending row order.
-  int repaired = 0;
-  for (int r = 0; r < num_rows; ++r) {
-    if (!live(r) || row_matched_[static_cast<size_t>(r)] != 0) continue;
-    if (!Augment(r + 1, rows, avail, k)) return fail();
-    ++repaired;
-  }
-  DASC_METRIC_COUNTER_ADD("matching_sparse_augment_steps_total",
-                          augment_steps_);
-
-  prev->row_to_col.assign(static_cast<size_t>(num_rows), -1);
-  for (int j = 1; j <= k; ++j) {
-    const int i = match_[static_cast<size_t>(j)];
-    if (i > 0) {
-      prev->row_to_col[static_cast<size_t>(i - 1)] =
-          rank_cols_[static_cast<size_t>(j - 1)];
-    }
-  }
-  double total = 0.0;
-  for (int r = 0; r < num_rows; ++r) {
-    if (!live(r)) continue;
-    const int32_t c = prev->row_to_col[static_cast<size_t>(r)];
-    DASC_CHECK_GE(c, 0);
-    double edge = kInf;
-    for (int64_t e = 0; e < rows[r].size; ++e) {
-      if (rows[r].cols[e] == c) {
-        edge = rows[r].costs[e];
-        break;
-      }
-    }
-    DASC_CHECK(std::isfinite(edge));
-    total += edge;
-  }
-  prev->cost = total;
-
-  prev_duals->row_dual.assign(static_cast<size_t>(num_rows), 0.0);
-  for (int r = 0; r < num_rows; ++r) {
-    if (live(r)) prev_duals->row_dual[r] = u_[static_cast<size_t>(r + 1)];
-  }
-  prev_duals->cols.assign(rank_cols_.begin(), rank_cols_.begin() + k);
-  prev_duals->col_dual.assign(v_.begin() + 1, v_.begin() + 1 + k);
-  return repaired;
 }
 
 }  // namespace dasc::matching

@@ -15,20 +15,6 @@
 // order, infeasible (absent) edges never touch minv in either formulation,
 // and the delta/tie-break scan runs over the same compacted index range in
 // the same order. Tests assert the equivalence on randomized instances.
-//
-// Repair() additionally supports delta-aware re-solve: given a previous
-// optimal solution with its dual potentials, and a column-availability mask
-// that only shrank since that solve (costs unchanged, rows a subset), it
-// keeps the surviving tight matched edges and re-augments only the broken
-// rows. In the unbalanced case the optimality certificate is feasible duals
-// + tight matched edges + *zero potential on every unmatched column*; a
-// deletion can strand a freed column at a negative potential, so Repair
-// first restores the certificate (raise freed columns to zero, relax rows
-// the raise made infeasible, unmatch edges that went slack, to fixpoint)
-// before resuming SSP — see DESIGN.md §13. The result is again a min-cost
-// perfect matching with the same cost and size as a cold solve, though
-// possibly a different equal-cost matching when ties exist, which is why
-// delta repair is opt-in.
 #ifndef DASC_MATCHING_SPARSE_ASSIGNMENT_H_
 #define DASC_MATCHING_SPARSE_ASSIGNMENT_H_
 
@@ -56,15 +42,6 @@ struct SparseAssignmentResult {
   std::vector<int32_t> row_to_col;
 };
 
-// Dual certificate of an optimal solve, consumed by Repair(). Potentials
-// satisfy u[r] + v[c] <= cost(r, c) on every available edge, with equality
-// on matched edges.
-struct SparseDuals {
-  std::vector<double> row_dual;   // u, aligned to the solve's rows
-  std::vector<int32_t> cols;      // column union, compaction (rank) order
-  std::vector<double> col_dual;   // v, aligned to `cols`
-};
-
 class SparseAssignmentSolver {
  public:
   // Declares the global column-space size. Scratch is epoch-stamped, so this
@@ -73,22 +50,8 @@ class SparseAssignmentSolver {
 
   // Min-cost perfect matching of all `num_rows` rows onto distinct columns
   // with avail[col] != 0 (avail == nullptr means every column available).
-  // `duals` is optional; when given, it is filled with the optimality
-  // certificate needed for later Repair() calls.
   SparseAssignmentResult Solve(const SparseRow* rows, int num_rows,
-                               const uint8_t* avail,
-                               SparseDuals* duals = nullptr);
-
-  // Re-solves after columns disappeared and/or rows were dropped, reusing
-  // `prev` + `prev_duals` from an earlier Solve()/Repair() over the SAME
-  // rows array with IDENTICAL costs and a superset of availability.
-  // row_live[r] == 0 drops row r (its result slot stays -1). Updates `prev`
-  // and `prev_duals` in place so repairs chain. Returns the number of rows
-  // re-augmented (or -1 when the shrunken problem became infeasible, in
-  // which case prev->feasible is false).
-  int Repair(const SparseRow* rows, int num_rows, const uint8_t* avail,
-             const uint8_t* row_live, SparseAssignmentResult* prev,
-             SparseDuals* prev_duals);
+                               const uint8_t* avail);
 
  private:
   // Assigns compaction ranks (first-appearance order over rows' available
@@ -110,7 +73,6 @@ class SparseAssignmentSolver {
   std::vector<double> u_, v_, minv_;
   std::vector<int32_t> match_, way_;
   std::vector<char> used_;
-  std::vector<uint8_t> row_matched_;  // Repair() scratch
   int64_t augment_steps_ = 0;
 };
 

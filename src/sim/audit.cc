@@ -547,107 +547,4 @@ int BatchAuditor::CrossCheckLedger(
   return mismatches;
 }
 
-namespace {
-
-// First differing row of one flat CSR side against the scratch side, as
-// "<label(row)>: <got length> <unit> != scratch <want length>"; "" when
-// both arrays, offsets included, are equal, so the same items in different
-// rows differ too.
-template <typename T, typename Label>
-std::string CompareSide(const std::vector<int64_t>& got_begin,
-                        const std::vector<T>& got_items,
-                        const std::vector<int64_t>& want_begin,
-                        const std::vector<T>& want_items, const char* side,
-                        const char* unit, const Label& label) {
-  if (got_begin == want_begin && got_items == want_items) return "";
-  const std::string mismatch = std::string(side) + " shape mismatch";
-  if (got_begin.size() != want_begin.size() ||
-      got_items.size() != want_items.size()) {
-    return mismatch;
-  }
-  // Rows are compared in order, so every earlier row's bounds matched and
-  // a row whose bounds match too lies inside both item arrays.
-  for (size_t r = 0; r + 1 < want_begin.size(); ++r) {
-    const int64_t b = want_begin[r];
-    const int64_t e = want_begin[r + 1];
-    if (got_begin[r] != b || got_begin[r + 1] != e ||
-        !std::equal(got_items.begin() + b, got_items.begin() + e,
-                    want_items.begin() + b)) {
-      return label(r) + ": " +
-             std::to_string(got_begin[r + 1] - got_begin[r]) + " " + unit +
-             " != scratch " + std::to_string(e - b);
-    }
-  }
-  return mismatch;
-}
-
-// First divergence between the published candidate caches and a from-scratch
-// rebuild; "" when bit-identical. The rebuild runs on a shallow copy with
-// reset caches, so the incremental view's published objects are untouched.
-std::string CompareCandidatesToScratch(const core::BatchProblem& problem) {
-  const core::CandidateSets& got = problem.Candidates();
-  const core::CandidateEdges& got_edges = problem.Edges();
-
-  core::BatchProblem scratch = problem;
-  scratch.InvalidateCandidates();
-  const core::CandidateSets& want = scratch.Candidates();
-  const core::CandidateEdges& want_edges = scratch.Edges();
-
-  if (got.num_pairs != want.num_pairs) {
-    return "num_pairs " + std::to_string(got.num_pairs) + " != scratch " +
-           std::to_string(want.num_pairs);
-  }
-  std::string diff = CompareSide(
-      got.worker_begin, got.worker_tasks, want.worker_begin,
-      want.worker_tasks, "worker_tasks", "tasks", [&](size_t i) {
-        return "worker_tasks[" + std::to_string(i) + "] (worker " +
-               std::to_string(problem.workers[i].id) + ")";
-      });
-  if (!diff.empty()) return diff;
-  diff = CompareSide(got.task_begin, got.task_workers, want.task_begin,
-                     want.task_workers, "task_workers", "workers",
-                     [](size_t t) {
-                       return "task_workers[" + std::to_string(t) + "]";
-                     });
-  if (!diff.empty()) return diff;
-  if (got_edges.num_workers != want_edges.num_workers ||
-      got_edges.row_begin != want_edges.row_begin ||
-      got_edges.workers != want_edges.workers) {
-    return "edge CSR layout diverges from scratch";
-  }
-  // Bit-equal travel times: the whole equivalence argument rests on the
-  // matching step seeing identical cost bits (DESIGN.md §17).
-  for (size_t e = 0; e < want_edges.travel_time.size(); ++e) {
-    if (got_edges.travel_time[e] != want_edges.travel_time[e]) {
-      return "travel_time[" + std::to_string(e) + "] " +
-             std::to_string(got_edges.travel_time[e]) + " != scratch " +
-             std::to_string(want_edges.travel_time[e]);
-    }
-  }
-  return "";
-}
-
-}  // namespace
-
-bool BatchAuditor::AuditCandidates(const core::BatchProblem& problem,
-                                   int batch_seq) {
-  util::WallTimer timer;
-  const std::string diff = CompareCandidatesToScratch(problem);
-  ++summary_.candidate_checks;
-  DASC_METRIC_COUNTER_INC("audit_candidate_checks_total");
-  DASC_METRIC_HISTOGRAM_OBSERVE("audit_candidate_check_ms",
-                                timer.ElapsedMillis());
-  if (diff.empty()) return true;
-  ++summary_.candidate_mismatches;
-  DASC_METRIC_COUNTER_INC("audit_candidate_mismatches_total");
-  if (summary_.first_candidate_mismatch.empty()) {
-    summary_.first_candidate_mismatch =
-        "batch " + std::to_string(batch_seq) + ": " + diff;
-  }
-  DASC_LOG(WARNING) << "candidate conformance: batch " << batch_seq
-                    << " incremental view diverges from scratch rebuild: "
-                    << diff;
-  return false;
-}
-
 }  // namespace dasc::sim

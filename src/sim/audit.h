@@ -82,12 +82,6 @@ struct AuditSummary {
   int64_t upper_bound_total = 0;
   double min_gap = 1.0;  // over audited batches; 1.0 when none audited
   double gap_sum = 0.0;  // over audited batches
-  // Incremental-candidate conformance (AuditCandidates): batches whose
-  // published candidate view was compared against a disjoint from-scratch
-  // rebuild, and how many diverged (0 unless a bug or injected staleness).
-  int64_t candidate_checks = 0;
-  int64_t candidate_mismatches = 0;
-  std::string first_candidate_mismatch;
 
   double MeanGap() const {
     return audited_batches > 0 ? gap_sum / audited_batches : 0.0;
@@ -136,16 +130,6 @@ class BatchAuditor {
   // DASC_LOG(WARNING), accumulates summary().ledger_mismatches, and returns
   // the mismatch count for this call.
   int CrossCheckLedger(const std::vector<TaskLedgerEntry>& entries);
-
-  // Differential conformance check for the incremental candidate view
-  // (DESIGN.md §17): rebuilds the batch's candidates from scratch with the
-  // stateless path and compares them bitwise against the caches published
-  // into `problem`. Same disjoint-checker pattern as the validity re-check:
-  // the view's own bookkeeping is never consulted. Accumulates
-  // summary().candidate_checks / candidate_mismatches, emits
-  // audit_candidate_* metrics, and returns true when equivalent. Never
-  // fail-hard: staleness is a conformance signal, not a committed-pair bug.
-  bool AuditCandidates(const core::BatchProblem& problem, int batch_seq);
 
   const AuditSummary& summary() const { return summary_; }
 

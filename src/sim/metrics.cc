@@ -25,8 +25,6 @@ RunStats MeasureSimulation(const core::Instance& instance,
   stats.audited_batches = result.audit.audited_batches;
   stats.audit_violations = result.audit.violations;
   stats.ledger_mismatches = result.audit.ledger_mismatches;
-  stats.candidate_checks = result.audit.candidate_checks;
-  stats.candidate_mismatches = result.audit.candidate_mismatches;
   stats.unserved_by_reason = result.unserved_by_reason;
   stats.ledger = result.ledger_entries;
   if (result.audit.audited_batches > 0) {

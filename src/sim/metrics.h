@@ -44,11 +44,6 @@ struct RunStats {
   // Audit cross-check of the lifecycle ledger (0 unless a bug, or when the
   // ledger/audit combination was off).
   int ledger_mismatches = 0;
-  // Incremental-candidate conformance (SimulatorOptions::verify_candidates):
-  // batches differentially checked against a from-scratch rebuild, and how
-  // many diverged (0 unless a bug or injected staleness).
-  int64_t candidate_checks = 0;
-  int64_t candidate_mismatches = 0;
   // Lifecycle ledger export (SimulatorOptions::ledger): per-reason totals
   // indexed by UnservedReason, and one entry per task. Empty when off.
   std::vector<int64_t> unserved_by_reason;

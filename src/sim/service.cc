@@ -39,9 +39,6 @@ Service::Service(const core::Instance& instance, core::Allocator& allocator,
   task_decided_.assign(m, 0);
   task_submit_wall_.assign(m, 0.0);
   credited_.assign(m, 0);
-  if (options_.incremental_candidates) {
-    candidate_view_ = std::make_unique<core::IncrementalCandidateView>(instance_);
-  }
 }
 
 Service::~Service() { Shutdown(); }
@@ -388,11 +385,6 @@ void Service::RunBatch(double now_wall) {
     return;
   }
   batch_nonempty_ = true;  // published into stats_ by Loop(), under mu_
-
-  if (candidate_view_ != nullptr) {
-    DASC_FLIGHT_SPAN("candidate_apply_delta");
-    candidate_view_->Update(problem_);
-  }
 
   util::WallTimer timer;
   core::Assignment raw;

@@ -39,13 +39,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/allocator.h"
-#include "core/candidate_view.h"
 #include "core/instance.h"
 #include "util/status.h"
 
@@ -84,12 +82,6 @@ struct ServiceOptions {
   // pending trace, batch lifecycle events are recorded, and decisions carry
   // the retained trace id into the e2e sketch as an exemplar.
   TaskTracer* tracer = nullptr;
-  // Maintain the per-batch candidate sets incrementally
-  // (core::IncrementalCandidateView, DESIGN.md §17) instead of rebuilding
-  // from scratch: identical published candidates, O(delta) probe work. The
-  // service's delta feed is exactly its batch-loop state — submissions,
-  // decisions, camp resolutions, busy-worker releases.
-  bool incremental_candidates = false;
 };
 
 // One task's terminal outcome. worker == kInvalidId iff !served.
@@ -201,9 +193,6 @@ class Service {
   std::vector<PendingCamp> camps_;
   // Reused across batches (the per-batch arena).
   core::BatchProblem problem_;
-  // Non-null iff options_.incremental_candidates: stateful candidate view
-  // updated by RunBatch on every non-empty batch.
-  std::unique_ptr<core::IncrementalCandidateView> candidate_view_;
   std::vector<uint8_t> credited_;
   std::vector<DecisionRecord> batch_decisions_;
   int64_t batch_seq_ = 0;

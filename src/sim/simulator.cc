@@ -7,7 +7,6 @@
 #include <memory>
 #include <queue>
 
-#include "core/candidate_view.h"
 #include "sim/market.h"
 #include "sim/metrics_timeseries.h"
 #include "sim/task_trace.h"
@@ -115,18 +114,6 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
   }
 
   BatchAuditor auditor(options_.audit_options);
-
-  // Incremental candidate maintenance (DESIGN.md §17): the view diffs each
-  // batch problem against the previous one and publishes bit-identical
-  // candidate caches with O(delta) probe work. Empty-market batches skip the
-  // update — the diff simply spans more than one batch interval then.
-  std::unique_ptr<core::IncrementalCandidateView> candidate_view;
-  if (options_.candidates == SimulatorOptions::CandidateMode::kIncremental) {
-    candidate_view = std::make_unique<core::IncrementalCandidateView>(instance_);
-    if (options_.inject_stale_candidate) {
-      candidate_view->InjectStaleCandidate();
-    }
-  }
 
   TaskTracer* const tracer = options_.tracer;
   if (tracer != nullptr) {
@@ -356,13 +343,6 @@ SimulationResult Simulator::Run(core::Allocator& allocator) const {
     }
     ++result.nonempty_batches;
     DASC_METRIC_COUNTER_INC("sim_nonempty_batches_total");
-
-    if (candidate_view != nullptr) {
-      candidate_view->Update(problem);
-      if (options_.verify_candidates) {
-        auditor.AuditCandidates(problem, batch_seq);
-      }
-    }
 
     util::WallTimer timer;
     const core::Assignment raw = [&] {

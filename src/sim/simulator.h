@@ -94,28 +94,6 @@ struct SimulatorOptions {
   // stamp in replay mode), batches record admission/camp/decision events,
   // and retained traces land in the run report's trace blocks.
   TaskTracer* tracer = nullptr;
-
-  // Candidate construction strategy (DESIGN.md §17). kScratch rebuilds the
-  // worker→task candidate sets from scratch every batch (the historical
-  // path); kIncremental maintains them as a stateful
-  // core::IncrementalCandidateView diffed batch-to-batch — bit-identical
-  // published candidates, O(delta) probe work.
-  enum class CandidateMode { kScratch, kIncremental };
-  CandidateMode candidates = CandidateMode::kScratch;
-
-  // Differential conformance: with kIncremental, compare the published view
-  // against a disjoint from-scratch rebuild after every non-empty batch
-  // (BatchAuditor::AuditCandidates). Results land in
-  // SimulationResult::audit.candidate_checks / candidate_mismatches. Costs
-  // one scratch candidate build per batch; meant for tests, the stress
-  // oracle, and CI gates, not production runs.
-  bool verify_candidates = false;
-
-  // Fault injection for the conformance harness: silently skip one
-  // retraction inside the incremental view, leaving one stale candidate row
-  // for verify_candidates / the equivalence oracle to catch. No effect with
-  // kScratch.
-  bool inject_stale_candidate = false;
 };
 
 struct SimulationResult {
@@ -140,8 +118,7 @@ struct SimulationResult {
   // with ~0 ms samples.
   std::vector<double> per_batch_allocator_ms;
   int empty_batches = 0;
-  // Populated when SimulatorOptions::audit is set; the candidate_* fields
-  // are also populated by SimulatorOptions::verify_candidates alone.
+  // Populated when SimulatorOptions::audit is set.
   AuditSummary audit;
   // Populated when SimulatorOptions::ledger is set: one entry per task, and
   // per-reason totals indexed by UnservedReason (index 0 = served, equal to

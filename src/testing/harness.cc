@@ -61,7 +61,6 @@ OracleContext MakeContext(const StressOptions& options,
   ctx.allocators = allocators;
   ctx.seed = options.allocator_seed;
   ctx.inject_dependency_bug = options.inject_dependency_bug;
-  ctx.inject_stale_candidate = options.inject_stale_candidate;
   ctx.dfs_max_tasks = options.dfs_max_tasks;
   ctx.dfs_time_limit_seconds = options.dfs_time_limit_seconds;
   return ctx;
@@ -105,7 +104,6 @@ std::string WriteRepro(const StressOptions& options,
   out << kReproTag << "allocators=" << JoinNames(allocators)
       << " seed=" << options.allocator_seed
       << " inject_dep_bug=" << (options.inject_dependency_bug ? 1 : 0)
-      << " inject_stale_candidate=" << (options.inject_stale_candidate ? 1 : 0)
       << " now=" << FmtDouble(options.now) << "\n";
   out << kReproTag << "message=" << failure.message << "\n";
   out.flush();
@@ -235,7 +233,6 @@ util::Status ReplayRepro(const std::string& path) {
   std::string oracle_name, allocators_csv, message;
   uint64_t seed = 42;
   bool inject = false;
-  bool inject_stale = false;
   double now = 0.0;
   bool saw_meta = false;
   std::string line;
@@ -262,8 +259,6 @@ util::Status ReplayRepro(const std::string& path) {
         seed = std::stoull(value);
       } else if (key == "inject_dep_bug") {
         inject = (value == "1");
-      } else if (key == "inject_stale_candidate") {
-        inject_stale = (value == "1");
       } else if (key == "now") {
         now = std::stod(value);
       }
@@ -288,7 +283,6 @@ util::Status ReplayRepro(const std::string& path) {
       allocators_csv.empty() ? DefaultAllocators() : SplitNames(allocators_csv);
   ctx.seed = seed;
   ctx.inject_dependency_bug = inject;
-  ctx.inject_stale_candidate = inject_stale;
   return oracle->check(ctx);
 }
 

@@ -43,7 +43,6 @@ struct StressOptions {
   double dfs_time_limit_seconds = 2.0;
   // Fault injection forwarded to OracleContext (see oracles.h).
   bool inject_dependency_bug = false;
-  bool inject_stale_candidate = false;
   // Shrink failures and write repro files under repro_dir.
   bool shrink = true;
   ShrinkOptions shrink_options;

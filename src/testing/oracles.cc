@@ -368,9 +368,6 @@ Status CheckMetaIndexRelabel(const OracleContext& ctx) {
 // DASC_Greedy commits the bit-identical assignment the knob-free historical
 // re-solve-everything path produces, for every backend — including a warm
 // re-allocation of the same batch, which replays entirely from the store.
-// Delta repair only promises equal per-solve cost/size, so it is held to
-// score equality (an empirical conformance property backed by the stress
-// sweep, like gg's half-DFS bound).
 Status CheckWarmColdEquivalence(const OracleContext& ctx) {
   BatchProblem problem = BatchProblem::AllAt(*ctx.instance, ctx.now);
   const std::pair<const char*, algo::GreedyOptions::MatchingBackend>
@@ -410,66 +407,6 @@ Status CheckWarmColdEquivalence(const OracleContext& ctx) {
           std::to_string(replay.size()) + " vs " +
           std::to_string(cold_a.size()) + " pairs)");
     }
-  }
-
-  algo::GreedyOptions delta_options;
-  delta_options.delta_repair = true;
-  algo::GreedyAllocator delta(delta_options);
-  algo::GreedyAllocator plain;
-  const Assignment delta_a = delta.Allocate(problem);
-  const Assignment plain_a = plain.Allocate(problem);
-  if (delta_a.size() != plain_a.size()) {
-    return Status::Internal(
-        "delta repair committed " + std::to_string(delta_a.size()) +
-        " pairs vs the cold solver's " + std::to_string(plain_a.size()));
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Incremental-candidate equivalence oracle.
-// ---------------------------------------------------------------------------
-
-// Full-simulation differential check of the incremental candidate view
-// (DESIGN.md §17). The instance is replayed through the event-driven
-// simulator with candidates maintained incrementally and verify_candidates
-// on, so the disjoint BatchAuditor rebuilds every non-empty batch's
-// candidate sets from scratch and compares them bitwise (both flat
-// candidate sides and the edge CSR, offsets included, and travel_time
-// bits). Any mismatch is a violation, as is any drift in the final score or
-// completion count against a plain scratch-mode run of the same instance —
-// candidate equivalence must imply allocation equivalence. With
-// ctx.inject_stale_candidate the view silently drops one retraction, and
-// this oracle must fire on the first batch that publishes the stale row.
-Status CheckIncrementalCandidatesEquivalence(const OracleContext& ctx) {
-  sim::SimulatorOptions options;
-  options.batch_trigger = sim::SimulatorOptions::BatchTrigger::kEventDriven;
-  options.candidates = sim::SimulatorOptions::CandidateMode::kIncremental;
-  options.verify_candidates = true;
-  options.inject_stale_candidate = ctx.inject_stale_candidate;
-  algo::GreedyAllocator incremental_greedy;
-  sim::Simulator incremental_sim(*ctx.instance, options);
-  const sim::SimulationResult inc = incremental_sim.Run(incremental_greedy);
-  if (inc.audit.candidate_mismatches > 0) {
-    return Status::Internal(
-        "incremental candidate view diverged from the scratch rebuild on " +
-        std::to_string(inc.audit.candidate_mismatches) + " of " +
-        std::to_string(inc.audit.candidate_checks) + " checked batches; " +
-        inc.audit.first_candidate_mismatch);
-  }
-
-  sim::SimulatorOptions scratch_options;
-  scratch_options.batch_trigger =
-      sim::SimulatorOptions::BatchTrigger::kEventDriven;
-  algo::GreedyAllocator scratch_greedy;
-  sim::Simulator scratch_sim(*ctx.instance, scratch_options);
-  const sim::SimulationResult scr = scratch_sim.Run(scratch_greedy);
-  if (inc.score != scr.score || inc.completed_tasks != scr.completed_tasks) {
-    return Status::Internal(
-        "incremental-candidate run drifted from the scratch run: score " +
-        std::to_string(inc.score) + " vs " + std::to_string(scr.score) +
-        ", completed " + std::to_string(inc.completed_tasks) + " vs " +
-        std::to_string(scr.completed_tasks));
   }
   return Status::OK();
 }
@@ -569,18 +506,13 @@ const std::vector<Oracle>& AllOracles() {
        "converged game / gg equilibria score >= 1/2 of the DFS optimum "
        "(Theorem IV.2)",
        CheckGameHalfDfs},
-      {"incremental-candidates-equivalence",
-       "incrementally maintained candidate sets are bitwise-equal to a "
-       "from-scratch rebuild on every batch, and the run's score matches the "
-       "scratch path",
-       CheckIncrementalCandidatesEquivalence},
       {"replay-market-audit",
        "replayed batches' idle workers, open tasks and dependency credit "
        "match a full-catalog scan under every simulator mode",
        CheckReplayMarketAudit},
       {"warm-cold-equivalence",
        "incremental / warm-start greedy commits bit-identical assignments to "
-       "the cold re-solve path; delta repair preserves the score",
+       "the cold re-solve path",
        CheckWarmColdEquivalence},
       {"meta-geometry",
        "rigid rotation (axis swap + sign flip) leaves scores and pairs "

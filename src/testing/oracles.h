@@ -58,12 +58,6 @@ struct OracleContext {
   // emits a premature pair — this is how the harness proves it can catch
   // real bugs end to end (see ISSUE acceptance criteria).
   bool inject_dependency_bug = false;
-  // Test-only fault injection for the incremental candidate view: silently
-  // drop one retraction (core::IncrementalCandidateView::InjectStaleCandidate)
-  // so a stale edge survives into a published batch. The
-  // incremental-candidates-equivalence oracle must then report a mismatch —
-  // proof the differential conformance layer catches real staleness bugs.
-  bool inject_stale_candidate = false;
   // DFS-backed oracles skip instances with more tasks than this, and skip
   // (not fail) when the search exceeds its budget without completing.
   int dfs_max_tasks = 12;

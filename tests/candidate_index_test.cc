@@ -439,6 +439,28 @@ TEST(CandidateIndexTest, TableNeverExceedsItsBound) {
   EXPECT_EQ(cases, 60);
 }
 
+// CandidateSets equality compares the flat arrays whole, offsets included,
+// which every compare in this file and SameCandidates in parallel_test rely
+// on: the right ids in the wrong rows compare unequal, on either side.
+TEST(CandidateIndexTest, RightIdsInWrongRowsCompareUnequal) {
+  const Instance instance = dasc::testing::Example1();
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  const CandidateSets scratch = BuildCandidates(problem);
+  ASSERT_EQ(scratch.WorkerTasks(0).size(), 2u);
+  ASSERT_EQ(scratch.TaskWorkers(0).size(), 2u);
+  EXPECT_TRUE(BuildCandidates(problem) == scratch);
+
+  CandidateSets shifted = scratch;
+  shifted.worker_begin[1] -= 1;  // worker 0's last task moves to worker 1
+  EXPECT_EQ(shifted.worker_tasks, scratch.worker_tasks);
+  EXPECT_FALSE(shifted == scratch);
+
+  shifted = scratch;
+  shifted.task_begin[1] -= 1;  // task 0's last worker moves to task 1
+  EXPECT_EQ(shifted.task_workers, scratch.task_workers);
+  EXPECT_FALSE(shifted == scratch);
+}
+
 // ------------------------------------------ the probe kernel's edges ---
 //
 // The index tests each entry with ServeFits over the packed task row; the

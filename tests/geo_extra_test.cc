@@ -1,102 +1,14 @@
-// Tests for the KD-tree index and the road network distance substrate.
+// Tests for the road network distance substrate.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "geo/distance.h"
-#include "geo/kdtree.h"
 #include "geo/road_network.h"
 #include "util/rng.h"
 
 namespace dasc::geo {
 namespace {
-
-// ---------------------------------------------------------------- KdTree ---
-
-TEST(KdTreeTest, EmptyTree) {
-  KdTree tree({});
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.QueryRadius({0, 0}, 1.0).empty());
-  EXPECT_EQ(tree.Nearest({0, 0}), -1);
-}
-
-TEST(KdTreeTest, SinglePoint) {
-  KdTree tree({{0.5, 0.5}});
-  EXPECT_EQ(tree.Nearest({0, 0}), 0);
-  EXPECT_EQ(tree.QueryRadius({0.5, 0.5}, 0.0).size(), 1u);
-  EXPECT_TRUE(tree.QueryRadius({0, 0}, 0.1).empty());
-}
-
-TEST(KdTreeTest, DuplicatePoints) {
-  KdTree tree({{1, 1}, {1, 1}, {1, 1}});
-  EXPECT_EQ(tree.QueryRadius({1, 1}, 0.5).size(), 3u);
-}
-
-TEST(KdTreeTest, RadiusMatchesBruteForce) {
-  util::Rng rng(7);
-  std::vector<Point> points(400);
-  for (auto& p : points) {
-    p = {rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)};
-  }
-  KdTree tree(points);
-  for (int iter = 0; iter < 60; ++iter) {
-    const Point center{rng.UniformDouble(-0.2, 1.2),
-                       rng.UniformDouble(-0.2, 1.2)};
-    const double radius = rng.UniformDouble(0, 0.4);
-    auto got = tree.QueryRadius(center, radius);
-    std::sort(got.begin(), got.end());
-    std::vector<int32_t> want;
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (EuclideanDistance(points[i], center) <= radius) {
-        want.push_back(static_cast<int32_t>(i));
-      }
-    }
-    EXPECT_EQ(got, want) << "iter " << iter;
-  }
-}
-
-TEST(KdTreeTest, NearestMatchesBruteForce) {
-  util::Rng rng(9);
-  std::vector<Point> points(300);
-  for (auto& p : points) {
-    p = {rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)};
-  }
-  KdTree tree(points);
-  for (int iter = 0; iter < 100; ++iter) {
-    const Point center{rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)};
-    const int32_t got = tree.Nearest(center);
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& p : points) {
-      best = std::min(best, EuclideanDistance(p, center));
-    }
-    EXPECT_NEAR(EuclideanDistance(points[static_cast<size_t>(got)], center),
-                best, 1e-12);
-  }
-}
-
-TEST(KdTreeTest, ClusteredDataStillCorrect) {
-  // Grids degrade on clusters; the tree must stay exact.
-  util::Rng rng(11);
-  std::vector<Point> points;
-  for (int c = 0; c < 5; ++c) {
-    const Point center{rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)};
-    for (int i = 0; i < 50; ++i) {
-      points.push_back({rng.Gaussian(center.x, 0.01),
-                        rng.Gaussian(center.y, 0.01)});
-    }
-  }
-  KdTree tree(points);
-  auto hits = tree.QueryRadius(points[0], 0.05);
-  std::vector<int32_t> want;
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (EuclideanDistance(points[i], points[0]) <= 0.05) {
-      want.push_back(static_cast<int32_t>(i));
-    }
-  }
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, want);
-}
 
 // ----------------------------------------------------------- RoadNetwork ---
 

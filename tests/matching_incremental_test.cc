@@ -1,10 +1,11 @@
 // Tests for the incremental matching kernel (DESIGN.md §13): the sparse
-// assignment solver's bitwise contract against the dense Hungarian, delta
-// repair's optimality, warm/cold equivalence of DASC_Greedy across every
-// stress family and backend (single batch and full multi-batch simulation),
-// the parallel class-evaluation determinism contract, and the reuse-split
-// observability counters. The TSan duplicate of this binary exercises the
-// parallel solve phase under the race detector.
+// assignment solver's bitwise contract against the dense Hungarian,
+// warm/cold equivalence of DASC_Greedy across every stress family and
+// backend (single batch and full multi-batch simulation), the batch-epoch
+// dirty bits behind the warm store's fast path, the parallel
+// class-evaluation determinism contract, and the reuse-split observability
+// counters. The TSan duplicate of this binary exercises the parallel solve
+// phase under the race detector.
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "matching/hungarian.h"
 #include "matching/sparse_assignment.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 #include "testing/generator.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -27,7 +29,6 @@ namespace {
 
 using matching::SparseAssignmentResult;
 using matching::SparseAssignmentSolver;
-using matching::SparseDuals;
 using matching::SparseRow;
 
 // A random sparse problem in CSR-ish shape over `num_cols` global columns.
@@ -120,65 +121,6 @@ TEST(SparseAssignmentTest, MatchesDenseHungarianBitwise) {
   }
 }
 
-TEST(SparseAssignmentTest, RepairMatchesColdResolve) {
-  util::Rng rng(77);
-  SparseAssignmentSolver solver;
-  int repaired_at_least_once = 0;
-  for (int trial = 0; trial < 200; ++trial) {
-    const int num_cols = 6 + static_cast<int>(rng.UniformInt(0, 10));
-    const int num_rows = 2 + static_cast<int>(rng.UniformInt(0, 4));
-    RandomProblem problem(rng, num_rows, num_cols, 0.7);
-    std::vector<uint8_t> avail(static_cast<size_t>(num_cols), 1);
-
-    solver.Reset(num_cols);
-    SparseDuals duals;
-    SparseAssignmentResult prev =
-        solver.Solve(problem.rows.data(), num_rows, avail.data(), &duals);
-    if (!prev.feasible) continue;
-
-    // Shrink the world: drop a row and a couple of columns (possibly
-    // matched ones), exactly what a greedy commit does to a cached attempt.
-    std::vector<uint8_t> row_live(static_cast<size_t>(num_rows), 1);
-    row_live[static_cast<size_t>(rng.UniformInt(0, num_rows - 1))] = 0;
-    for (int k = 0; k < 2; ++k) {
-      avail[static_cast<size_t>(rng.UniformInt(0, num_cols - 1))] = 0;
-    }
-
-    const int repaired = solver.Repair(problem.rows.data(), num_rows,
-                                       avail.data(), row_live.data(), &prev,
-                                       &duals);
-    // Cold re-solve over the shrunken problem as the reference.
-    std::vector<SparseRow> live_rows;
-    std::vector<int> live_index;
-    for (int r = 0; r < num_rows; ++r) {
-      if (row_live[static_cast<size_t>(r)]) {
-        live_rows.push_back(problem.rows[static_cast<size_t>(r)]);
-        live_index.push_back(r);
-      }
-    }
-    SparseAssignmentSolver cold;
-    cold.Reset(num_cols);
-    const SparseAssignmentResult reference = cold.Solve(
-        live_rows.data(), static_cast<int>(live_rows.size()), avail.data());
-    ASSERT_EQ(prev.feasible, reference.feasible) << "trial " << trial;
-    if (!reference.feasible) continue;
-    ASSERT_GE(repaired, 0);
-    if (repaired > 0) ++repaired_at_least_once;
-    // Same optimal cost (near-equality: an equal-cost alternate optimum may
-    // sum its edges in a different order).
-    EXPECT_NEAR(prev.cost, reference.cost, 1e-9) << "trial " << trial;
-    for (int r = 0; r < num_rows; ++r) {
-      if (!row_live[static_cast<size_t>(r)]) {
-        EXPECT_EQ(prev.row_to_col[static_cast<size_t>(r)], -1);
-      } else {
-        EXPECT_GE(prev.row_to_col[static_cast<size_t>(r)], 0);
-      }
-    }
-  }
-  EXPECT_GT(repaired_at_least_once, 0)
-      << "the shrink never invalidated a matched edge; weak test";
-}
-
 // ---------------------------------------------------------------------------
 // DASC_Greedy warm/cold equivalence.
 // ---------------------------------------------------------------------------
@@ -220,24 +162,6 @@ TEST(GreedyWarmColdTest, SingleBatchBitIdenticalAcrossFamiliesAndBackends) {
         EXPECT_EQ(replay.pairs(), reference.pairs())
             << testing::FamilyName(family) << " seed " << seed << " (warm)";
       }
-    }
-  }
-}
-
-TEST(GreedyWarmColdTest, DeltaRepairPreservesScore) {
-  const testing::GenParams params;
-  for (testing::Family family : testing::AllFamilies()) {
-    for (uint64_t seed = 1; seed <= 25; ++seed) {
-      const core::Instance instance =
-          testing::GenerateCase(family, params, seed);
-      const core::BatchProblem problem =
-          core::BatchProblem::AllAt(instance, 0.0);
-      algo::GreedyAllocator plain;
-      algo::GreedyOptions delta_options;
-      delta_options.delta_repair = true;
-      algo::GreedyAllocator delta(delta_options);
-      EXPECT_EQ(delta.Allocate(problem).size(), plain.Allocate(problem).size())
-          << testing::FamilyName(family) << " seed " << seed;
     }
   }
 }
@@ -321,7 +245,118 @@ TEST(GreedyWarmColdTest, ParallelSolveBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: reuse-split counters and the delta-repair histogram.
+// Batch-epoch dirty bits on scratch-built edges (the warm fast path).
+// ---------------------------------------------------------------------------
+
+// Worker ids of a batch, indexed like its edge columns.
+std::vector<core::WorkerId> WorkerIds(const core::BatchProblem& problem) {
+  std::vector<core::WorkerId> ids;
+  for (const core::WorkerState& w : problem.workers) ids.push_back(w.id);
+  return ids;
+}
+
+// The first task whose edge row is not empty.
+core::TaskId FirstNonEmptyRow(const core::CandidateEdges& edges) {
+  for (size_t t = 0; t + 1 < edges.row_begin.size(); ++t) {
+    if (edges.row_begin[t + 1] > edges.row_begin[t]) {
+      return static_cast<core::TaskId>(t);
+    }
+  }
+  return core::kInvalidId;
+}
+
+TEST(EdgeEpochTest, SameWorkerIdsAtShiftedColumnsAreUnchanged) {
+  const core::Instance instance = testing::Example1();
+  const core::BatchProblem problem = core::BatchProblem::AllAt(instance, 0.0);
+  const core::CandidateEdges& cur = problem.Edges();
+  ASSERT_GT(cur.num_edges(), 0);
+  // The previous batch had one more worker ahead of all of these, so every
+  // edge sits one column later there while naming the same worker.
+  core::CandidateEdges prev = cur;
+  for (int32_t& column : prev.workers) ++column;
+  std::vector<core::WorkerId> prev_ids = {core::kInvalidId};
+  for (core::WorkerId id : WorkerIds(problem)) prev_ids.push_back(id);
+
+  problem.MarkEdgesUnchangedSince(prev, prev_ids);
+  ASSERT_EQ(cur.row_unchanged.size(), cur.row_begin.size() - 1);
+  for (uint8_t bit : cur.row_unchanged) EXPECT_EQ(bit, 1);
+}
+
+TEST(EdgeEpochTest, ChangedTravelTimeOrRowLengthIsChanged) {
+  const core::Instance instance = testing::Example1();
+  const core::BatchProblem problem = core::BatchProblem::AllAt(instance, 0.0);
+  const core::CandidateEdges& cur = problem.Edges();
+  const std::vector<core::WorkerId> ids = WorkerIds(problem);
+  const core::TaskId t = FirstNonEmptyRow(cur);
+  ASSERT_NE(t, core::kInvalidId);
+  const size_t row = static_cast<size_t>(t);
+
+  core::CandidateEdges slower = cur;
+  slower.travel_time[static_cast<size_t>(cur.row_begin[row])] += 1.0;
+  problem.MarkEdgesUnchangedSince(slower, ids);
+  for (size_t r = 0; r < cur.row_unchanged.size(); ++r) {
+    EXPECT_EQ(cur.row_unchanged[r], r == row ? 0 : 1) << "row " << r;
+  }
+
+  // The previous row held one more edge: a copy of its last one.
+  core::CandidateEdges longer = cur;
+  const auto at = static_cast<size_t>(cur.row_begin[row + 1]);
+  longer.workers.insert(longer.workers.begin() + static_cast<int64_t>(at),
+                        cur.workers[at - 1]);
+  longer.travel_time.insert(
+      longer.travel_time.begin() + static_cast<int64_t>(at),
+      cur.travel_time[at - 1]);
+  for (size_t r = row + 1; r < longer.row_begin.size(); ++r) {
+    ++longer.row_begin[r];
+  }
+  problem.MarkEdgesUnchangedSince(longer, ids);
+  for (size_t r = 0; r < cur.row_unchanged.size(); ++r) {
+    EXPECT_EQ(cur.row_unchanged[r], r == row ? 0 : 1) << "row " << r;
+  }
+
+  // A previous batch over a different catalog size matches no row.
+  core::CandidateEdges other_catalog = cur;
+  other_catalog.row_begin.push_back(other_catalog.row_begin.back());
+  problem.MarkEdgesUnchangedSince(other_catalog, ids);
+  ASSERT_EQ(cur.row_unchanged.size(), cur.row_begin.size() - 1);
+  for (uint8_t bit : cur.row_unchanged) EXPECT_EQ(bit, 0);
+}
+
+// Greedy stamps the bits itself against the edges of its previous
+// Allocate: a batch rebuilt from scratch with identical inputs takes the
+// snapshot-free fast path and still commits the cold allocator's pairs.
+TEST(EdgeEpochTest, RebuiltIdenticalBatchTakesTheFastPath) {
+  testing::GenParams params;
+  params.num_workers = {10, 14};
+  params.num_tasks = {20, 30};
+  const core::Instance instance =
+      testing::GenerateCase(testing::Family::kUniform, params, 3);
+  const core::BatchProblem first = core::BatchProblem::AllAt(instance, 0.0);
+  const core::BatchProblem rebuilt = core::BatchProblem::AllAt(instance, 0.0);
+
+  algo::GreedyAllocator cold(ColdOptions());
+  const core::Assignment reference = cold.Allocate(rebuilt);
+  ASSERT_GT(reference.size(), 0);
+
+  algo::GreedyAllocator warm;
+  EXPECT_EQ(warm.Allocate(first).pairs(), reference.pairs());
+#if DASC_METRICS_ENABLED
+  util::Counter* fast =
+      util::GlobalMetrics().GetCounter("matching_warm_fastpath_hits_total");
+  const int64_t fast_before = fast->value();
+#endif  // DASC_METRICS_ENABLED
+  const core::Assignment replay = warm.Allocate(rebuilt);
+  EXPECT_EQ(replay.pairs(), reference.pairs());
+  EXPECT_GT(warm.last_warm_hits(), 0);
+  ASSERT_FALSE(rebuilt.Edges().row_unchanged.empty());
+  for (uint8_t bit : rebuilt.Edges().row_unchanged) EXPECT_EQ(bit, 1);
+#if DASC_METRICS_ENABLED
+  EXPECT_GT(fast->value() - fast_before, 0);
+#endif  // DASC_METRICS_ENABLED
+}
+
+// ---------------------------------------------------------------------------
+// Observability: reuse-split counters.
 // ---------------------------------------------------------------------------
 
 TEST(GreedyWarmColdTest, ReuseCountersSplitWarmFromCold) {
@@ -363,32 +398,6 @@ TEST(GreedyWarmColdTest, ReuseCountersSplitWarmFromCold) {
   cold.Allocate(problem);
   EXPECT_EQ(cold.last_warm_hits(), 0);
   EXPECT_GT(cold.last_cold_solves(), 0);
-}
-
-TEST(GreedyWarmColdTest, DeltaRepairHistogramRecords) {
-  testing::GenParams params;
-  params.num_workers = {12, 16};
-  params.num_tasks = {25, 35};
-#if DASC_METRICS_ENABLED
-  util::Histogram* histogram =
-      util::GlobalMetrics().GetHistogram("matching_delta_repair_ms");
-  const int64_t before = histogram->count();
-#endif  // DASC_METRICS_ENABLED
-  algo::GreedyOptions options;
-  options.delta_repair = true;
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const core::Instance instance =
-        testing::GenerateCase(testing::Family::kUniform, params, seed);
-    const core::BatchProblem problem =
-        core::BatchProblem::AllAt(instance, 0.0);
-    algo::GreedyAllocator delta(options);
-    delta.Allocate(problem);
-  }
-#if DASC_METRICS_ENABLED
-  EXPECT_GT(histogram->count(), before)
-      << "no commit ever invalidated a cached feasible attempt; the repair "
-         "path went unexercised";
-#endif  // DASC_METRICS_ENABLED
 }
 
 }  // namespace

@@ -237,6 +237,112 @@ TEST(SimulatorTest, EmptyBatchesCountedAndExcludedFromTimings) {
             result.batches - result.empty_batches);
 }
 
+// ------------------------------------------------------ Audited scenarios ---
+//
+// Market transitions at and between batch instants, replayed under the
+// auditor (every batch's idle workers, open tasks and credit re-derived by a
+// full-catalog scan, every committed pair re-checked) and the ledger
+// cross-check.
+
+SimulatorOptions AuditedOptions() {
+  SimulatorOptions options;
+  options.batch_interval = 1.0;
+  options.audit = true;
+  options.audit_options.fail_hard = false;
+  options.ledger = true;
+  return options;
+}
+
+void ExpectCleanAudit(const SimulationResult& result) {
+  EXPECT_GT(result.audit.audited_batches, 0);
+  EXPECT_EQ(result.audit.violations, 0);
+  EXPECT_EQ(result.audit.ledger_mismatches, 0);
+}
+
+// A dependency-oblivious allocator sends w0 to t0, whose dependency t1
+// needs a skill nobody holds: w0 camps (kWait). When t0 expires the camp
+// dissolves and w0 re-enters the market at t0's site, from where it serves
+// the late-arriving t2.
+TEST(SimulatorScenarioTest, WorkerReleasedMidCamp) {
+  auto instance = core::Instance::Create(
+      {MakeWorker(0, 0, 0, {0}, /*start=*/0.0, /*wait=*/100.0,
+                  /*velocity=*/10.0, /*max_distance=*/100.0)},
+      {MakeTask(0, 3, 0, /*skill=*/0, /*deps=*/{1}, /*start=*/0.0,
+                /*wait=*/5.0),
+       MakeTask(1, 1, 1, /*skill=*/1, /*deps=*/{}, /*start=*/0.0,
+                /*wait=*/5.0),
+       MakeTask(2, 4, 0, /*skill=*/0, /*deps=*/{}, /*start=*/8.0,
+                /*wait=*/20.0)},
+      2);
+  ASSERT_TRUE(instance.ok());
+  algo::ClosestAllocator closest;
+  const SimulationResult result =
+      Simulator(*instance, AuditedOptions()).Run(closest);
+  ExpectCleanAudit(result);
+  EXPECT_EQ(result.wasted_dispatches, 1);
+  EXPECT_EQ(result.completed_tasks, 1);
+  ASSERT_EQ(result.ledger_entries.size(), 3u);
+  EXPECT_TRUE(result.ledger_entries[0].camp_expired);
+  EXPECT_TRUE(result.ledger_entries[2].completed);
+}
+
+// t0 expires at t=2 while the market has no worker (w0 arrives at t=5), so
+// every batch before then is empty; the first non-empty batch must not
+// offer t0.
+TEST(SimulatorScenarioTest, TaskExpiresDuringEmptyBatches) {
+  auto instance = core::Instance::Create(
+      {MakeWorker(0, 0, 0, {0}, /*start=*/5.0, /*wait=*/100.0,
+                  /*velocity=*/10.0, /*max_distance=*/100.0)},
+      {MakeTask(0, 1, 0, /*skill=*/0, /*deps=*/{}, /*start=*/0.0,
+                /*wait=*/2.0),
+       MakeTask(1, 2, 0, /*skill=*/0, /*deps=*/{}, /*start=*/0.0,
+                /*wait=*/100.0)},
+      1);
+  ASSERT_TRUE(instance.ok());
+  algo::GreedyAllocator greedy;
+  const SimulationResult result =
+      Simulator(*instance, AuditedOptions()).Run(greedy);
+  ExpectCleanAudit(result);
+  EXPECT_GE(result.empty_batches, 5);
+  EXPECT_EQ(result.score, 1);
+  ASSERT_EQ(result.ledger_entries.size(), 2u);
+  EXPECT_FALSE(result.ledger_entries[0].completed);
+  EXPECT_EQ(result.ledger_entries[0].candidate_batches, 0);
+  EXPECT_TRUE(result.ledger_entries[1].completed);
+}
+
+// Knife-edge arrivals around batch instants: t1 arrives and expires strictly
+// between two instants (never open in any batch), t2 opens exactly at an
+// instant, and the slow w1 reaches t3 (10 time units away) before its
+// expiry at 12.5.
+TEST(SimulatorScenarioTest, SameBatchArrivalAndExpiry) {
+  auto instance = core::Instance::Create(
+      {MakeWorker(0, 0, 0, {0}, /*start=*/0.0, /*wait=*/100.0,
+                  /*velocity=*/10.0, /*max_distance=*/100.0),
+       MakeWorker(1, 5, 5, {0}, /*start=*/0.0, /*wait=*/100.0,
+                  /*velocity=*/0.01, /*max_distance=*/100.0)},
+      {MakeTask(0, 1, 0, /*skill=*/0, /*deps=*/{}, /*start=*/0.0,
+                /*wait=*/100.0),
+       MakeTask(1, 2, 0, /*skill=*/0, /*deps=*/{}, /*start=*/1.25,
+                /*wait=*/0.5),
+       MakeTask(2, 3, 0, /*skill=*/0, /*deps=*/{}, /*start=*/2.0,
+                /*wait=*/50.0),
+       MakeTask(3, 4.9, 5, /*skill=*/0, /*deps=*/{}, /*start=*/0.0,
+                /*wait=*/12.5)},
+      1);
+  ASSERT_TRUE(instance.ok());
+  algo::GreedyAllocator greedy;
+  const SimulationResult result =
+      Simulator(*instance, AuditedOptions()).Run(greedy);
+  ExpectCleanAudit(result);
+  EXPECT_EQ(result.score, 3);
+  ASSERT_EQ(result.ledger_entries.size(), 4u);
+  EXPECT_EQ(result.ledger_entries[1].first_open_batch, -1);
+  EXPECT_EQ(result.ledger_entries[1].reason, UnservedReason::kNeverOpen);
+  EXPECT_EQ(result.ledger_entries[2].first_open_batch, 2);
+  EXPECT_TRUE(result.ledger_entries[3].completed);
+}
+
 // ------------------------------------------------------------ Event-driven ---
 
 TEST(EventDrivenTest, FiresExactlyAtArrivalsAndCompletions) {

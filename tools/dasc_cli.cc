@@ -307,14 +307,6 @@ int Simulate(int argc, char** argv) {
   parser.AddString("trace-out", &trace_out, "write a Perfetto trace JSON");
   parser.AddString("events-out", &events_out,
                    "write the simulation event stream as JSONL");
-  std::string candidates = "scratch";
-  bool verify_candidates = false;
-  parser.AddString("candidates", &candidates,
-                   "candidate construction: scratch (per-batch rebuild) or "
-                   "incremental (O(delta) maintained view, DESIGN.md §17)");
-  parser.AddBool("verify-candidates", &verify_candidates,
-                 "with --candidates=incremental, cross-check the view "
-                 "against a from-scratch rebuild every batch");
   if (!ParseSubcommand(parser, argc, argv, 2)) return Usage();
   auto instance = io::ReadInstanceFile(parser.positional()[0]);
   if (!instance.ok()) {
@@ -331,14 +323,6 @@ int Simulate(int argc, char** argv) {
   options.batch_interval = interval;
   options.audit = audit;
   options.ledger = ledger || !explain_out.empty();
-  if (candidates == "incremental") {
-    options.candidates = sim::SimulatorOptions::CandidateMode::kIncremental;
-    options.verify_candidates = verify_candidates;
-  } else if (candidates != "scratch") {
-    std::fprintf(stderr, "unknown --candidates=%s (scratch|incremental)\n",
-                 candidates.c_str());
-    return Usage();
-  }
   sim::Trace trace;
   if (!events_out.empty()) options.trace = &trace;
   // The live-telemetry plane (DESIGN.md §14): the time series and watchdog
@@ -391,11 +375,6 @@ int Simulate(int argc, char** argv) {
         "violations=%d\n",
         stats.audited_batches, stats.approx_ratio, stats.min_batch_gap,
         stats.mean_batch_gap, stats.audit_violations);
-  }
-  if (stats.candidate_checks > 0) {
-    std::printf("candidates: checks=%lld mismatches=%lld\n",
-                static_cast<long long>(stats.candidate_checks),
-                static_cast<long long>(stats.candidate_mismatches));
   }
   if (options.ledger) {
     std::printf("unserved: %d of %d tasks",

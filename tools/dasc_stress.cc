@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
   int64_t threads = 0, max_failures = 8, shrink_evals = 4000;
   int64_t dfs_max_tasks = 12;
   double dfs_time_limit = 2.0, tightness = 0.4;
-  bool shrink = true, inject_dep_bug = false, inject_stale_candidate = false,
-       list = false;
+  bool shrink = true, inject_dep_bug = false, list = false;
   std::string family_csv = "all", oracle_csv = "all", allocator_csv;
   std::string repro_dir = "tests/repros", replay_path;
 
@@ -106,9 +105,6 @@ int main(int argc, char** argv) {
                    "DFS search budget in seconds");
   parser.AddBool("inject-dep-bug", &inject_dep_bug,
                  "TEST ONLY: commit pairs without the dependency check");
-  parser.AddBool("inject-stale-candidate", &inject_stale_candidate,
-                 "TEST ONLY: drop one retraction in the incremental "
-                 "candidate view");
   parser.AddInt("threads", &threads, "worker threads (0 = default)");
   parser.AddString("replay", &replay_path,
                    "replay a tests/repros file instead of sweeping");
@@ -136,7 +132,6 @@ int main(int argc, char** argv) {
   options.dfs_max_tasks = static_cast<int>(dfs_max_tasks);
   options.dfs_time_limit_seconds = dfs_time_limit;
   options.inject_dependency_bug = inject_dep_bug;
-  options.inject_stale_candidate = inject_stale_candidate;
 
   if (family_csv != "all") {
     options.families.clear();

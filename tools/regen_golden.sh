@@ -34,43 +34,6 @@ trap 'rm -rf "$tmp"' EXIT
  "$cli" simulate gate.dasc gg --audit --ledger \
      --metrics-out="$data/golden_report.jsonl" >/dev/null)
 
-# Differential check: the same run under the incremental candidate view must
-# reproduce every quality field of the scratch-path golden byte-for-byte
-# (timing fields are machine-dependent and excluded). A divergence here means
-# the incremental view changed allocation behavior — regen must fail, not
-# bless it.
-(cd "$tmp" &&
- "$cli" simulate gate.dasc gg --audit --ledger \
-     --candidates=incremental --verify-candidates \
-     --metrics-out="$tmp/incremental_report.jsonl" >/dev/null)
-
-python3 - "$data/golden_report.jsonl" "$tmp/incremental_report.jsonl" <<'EOF'
-import json, sys
-
-TIMING = {"allocator_ms", "p50_batch_ms", "p95_batch_ms", "max_batch_ms"}
-
-def quality_lines(path):
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            obj = json.loads(line)
-            if obj.get("type") not in ("stats", "ledger", "task"):
-                continue
-            out.append({k: v for k, v in obj.items() if k not in TIMING})
-    return out
-
-golden, incremental = (quality_lines(p) for p in sys.argv[1:3])
-if golden != incremental:
-    for g, i in zip(golden, incremental):
-        if g != i:
-            sys.exit(
-                "regen_golden: incremental path diverged from scratch "
-                f"golden:\n  scratch:     {g}\n  incremental: {i}")
-    sys.exit("regen_golden: incremental path diverged from scratch golden "
-             f"(line count {len(golden)} vs {len(incremental)})")
-print("regen_golden: incremental candidate path matches the scratch golden")
-EOF
-
 python3 - "$data/golden_report.jsonl" "$data/regressed_report.jsonl" <<'EOF'
 import json, sys
 

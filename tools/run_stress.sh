@@ -17,11 +17,6 @@
 #   1. release build  — dasc_stress --seeds N over all families and oracles
 #   2. UBSan build    — same sweep at N/10 (sanitizer-throttled)
 #   3. ASan build     — same sweep at N/10
-#   4. release build  — incremental-candidates-equivalence focused sweep at N
-#                       on a disjoint seed window (the oracle also runs in
-#                       stages 1-3; this stage buys the differential
-#                       candidate check its own nightly coverage)
-#   5./6. UBSan/ASan  — same focused sweep at N/10
 # Sanitizer stages build into build-stress-{ubsan,asan} via DASC_SANITIZE
 # and are skipped with --skip-sanitizers (or individually when the
 # toolchain lacks the runtime; cmake configuration failure is treated as
@@ -77,28 +72,15 @@ run_stage() {
   fi
 }
 
-# The focused incremental stages take the second half of the night's seed
-# window so they exercise cases the full sweeps did not.
-inc_seed=$(( base_seed + 50000 ))
-inc_oracle="--oracle=incremental-candidates-equivalence"
-
 run_stage release "$root/build-stress" "$seeds" "$base_seed" "" \
     -DCMAKE_BUILD_TYPE=Release
-run_stage release-incremental "$root/build-stress" "$seeds" "$inc_seed" \
-    "$inc_oracle" -DCMAKE_BUILD_TYPE=Release
 if [[ $skip_sanitizers -eq 0 ]]; then
   sanitized_seeds=$(( seeds / 10 > 0 ? seeds / 10 : 1 ))
   run_stage ubsan "$root/build-stress-ubsan" "$sanitized_seeds" \
       "$base_seed" "" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDASC_SANITIZE=undefined
-  run_stage ubsan-incremental "$root/build-stress-ubsan" "$sanitized_seeds" \
-      "$inc_seed" "$inc_oracle" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDASC_SANITIZE=undefined
   run_stage asan "$root/build-stress-asan" "$sanitized_seeds" \
       "$base_seed" "" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDASC_SANITIZE=address
-  run_stage asan-incremental "$root/build-stress-asan" "$sanitized_seeds" \
-      "$inc_seed" "$inc_oracle" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDASC_SANITIZE=address
 fi
 
