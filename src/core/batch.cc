@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
+#include "core/serve_kernel.h"
 #include "util/flight_recorder.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -14,11 +16,14 @@ namespace dasc::core {
 
 namespace {
 
-// Workers per hit-buffer chunk of BuildCandidates. Candidate generation is
-// ~1us per worker at paper scale; 64 workers per chunk keeps dispatch and
-// buffer overhead under 2% while still splitting Table V batches (hundreds
-// of idle workers) across the pool.
-constexpr int64_t kWorkerGrain = 64;
+// Open tasks per hit-buffer chunk of BuildCandidates. A task's query is a
+// few cell-row runs of one skill segment; 16 tasks per chunk keeps dispatch
+// and buffer overhead small while still splitting a batch of a few hundred
+// open tasks across the pool.
+constexpr size_t kQueryGrain = 16;
+
+// How many workers ahead the index build prefetches each catalog row.
+constexpr size_t kPrefetchStride = 8;
 
 // Cells per axis are capped so the grid's cell counts stay far inside int64
 // when the reach is tiny or zero relative to the task spread.
@@ -30,7 +35,8 @@ constexpr int64_t kSlotsPerOpenTask = 64;
 
 // One axis of the cell grid: cells of `size` starting at `lo`, clamped to
 // [0, count). Cell() is monotone in its argument, so the cells of a reach
-// interval's two ends bound every task cell inside the interval.
+// interval's two ends bound every worker cell inside the interval, including
+// workers beyond the task box, whom the clamp puts in the edge cells.
 struct CellAxis {
   double lo = 0.0;
   double hi = 0.0;  // largest task coordinate on this axis
@@ -45,22 +51,29 @@ struct CellAxis {
   }
 };
 
-// Candidate index over one batch's open tasks, ordered by (skill, row-major
-// cell, rank in open_tasks). Each skill with open tasks owns a segment of
-// one slot per cell, and the offset table gives every slot's entry range,
-// so a worker's query reads the bounds of each (skill, cell-row) run in
-// constant time: for each of its skills and each cell row its reach box
-// overlaps, the run of that row's overlapped columns. The cell size is the
-// largest remaining_distance among the batch's workers, so a reach box
-// overlaps at most 3x3 cells and the index needs no density estimate.
-// SizeGrid coarsens the cells until segments x cells <= kSlotsPerOpenTask x
-// open tasks, which caps the table (skill segment bases plus slot offsets)
-// at 2 x num_skills + kSlotsPerOpenTask x open tasks entries. Non-Euclidean
-// kinds use one cell: the query is then a plain skill inverted-index scan.
+// Candidate index over one batch's idle workers, queried once per open task.
+// Each skill some open task needs owns a segment of one slot per cell of a
+// grid laid over the open tasks' bounding box, and a worker has one entry in
+// the slot of its cell in each of those segments among its skills. Entries
+// are ordered by (skill, row-major cell, worker index), and the offset table
+// gives every slot's entry range, so a task's query reads the bounds of each
+// cell-row run of its skill's segment in constant time: the run of the
+// columns its reach box overlaps, for each row the box overlaps.
 //
-// Each entry carries its task's packed row (location, start, expiry), so a
-// run is probed with ServeFits over contiguous memory; the skill check is
-// implied by the segment.
+// The reach box is the task's point grown by the batch's largest
+// remaining_distance, which is also the cell size, so a box overlaps at most
+// 3x3 cells and the index needs no density estimate. Workers outside the
+// task box grown the same way cannot reach any open task and are not
+// indexed; the clamped edge cells hold those between the two boxes. SizeGrid
+// coarsens the cells until segments x cells <= kSlotsPerOpenTask x open
+// tasks, which caps the table (skill segment bases plus slot offsets) at
+// 2 x num_skills + kSlotsPerOpenTask x open tasks entries. Non-Euclidean
+// kinds, and batches with an unbounded (infinite or NaN) budget, use one
+// cell and index every worker: the query is then a plain skill scan.
+//
+// Entries are columns (WorkerColumns) filled by a counting sort that reads
+// each Worker once, so a run is probed with FitRun over contiguous memory;
+// the skill check is implied by the segment.
 class CandidateIndex {
  public:
   explicit CandidateIndex(const BatchProblem& problem) {
@@ -69,14 +82,39 @@ class CandidateIndex {
     const auto num_skills = static_cast<size_t>(instance.num_skills());
     skill_base_.assign(num_skills, -1);
     int64_t segments = 0;
-    for (TaskId t : problem.open_tasks) {
-      int64_t& base =
-          skill_base_[static_cast<size_t>(instance.task(t).required_skill)];
+    tasks_.resize(m);
+    double extent = 0.0;  // largest |coordinate| over the open tasks
+    for (size_t r = 0; r < m; ++r) {
+      const Task& task = instance.task(problem.open_tasks[r]);
+      int64_t& base = skill_base_[static_cast<size_t>(task.required_skill)];
       if (base < 0) base = segments++;
+      tasks_[r] = {TaskRow::Of(task), task.required_skill};
+      const geo::Point& p = task.location;
+      if (r == 0) {
+        cols_.lo = cols_.hi = p.x;
+        rows_.lo = rows_.hi = p.y;
+      }
+      cols_.lo = std::min(cols_.lo, p.x);
+      cols_.hi = std::max(cols_.hi, p.x);
+      rows_.lo = std::min(rows_.lo, p.y);
+      rows_.hi = std::max(rows_.hi, p.y);
+      extent = std::max(extent, std::fabs(p.x) + std::fabs(p.y));
     }
-    if (m == 0) return;  // every query misses; no table
-    if (problem.params.distance_kind == geo::DistanceKind::kEuclidean) {
-      SizeGrid(problem, kSlotsPerOpenTask * static_cast<int64_t>(m) / segments);
+    if (m == 0) return;  // no query; no table
+    double reach = 0.0;
+    bool bounded = true;
+    for (const WorkerState& state : problem.workers) {
+      reach = std::max(reach, state.remaining_distance);
+      bounded &= std::isfinite(state.remaining_distance);
+    }
+    // CanServe's Euclidean distance is never below |dx| or |dy|, so every
+    // worker that can serve a task stands in its reach box; the pad absorbs
+    // the rounding of the box's end points.
+    euclidean_ = problem.params.distance_kind == geo::DistanceKind::kEuclidean;
+    const bool cut = euclidean_ && bounded;
+    reach_ = reach + 1e-9 * (1.0 + extent + reach);
+    if (cut) {
+      SizeGrid(reach, kSlotsPerOpenTask * static_cast<int64_t>(m) / segments);
     }
     const int64_t cells = cols_.count * rows_.count;
     for (int64_t& base : skill_base_) {
@@ -86,26 +124,70 @@ class CandidateIndex {
     // Counting sort by slot: offsets_[p] first counts slot p's entries, then
     // (inclusive prefix sum) marks the end of its range; placing each entry
     // one below its slot's end moves every end back to the slot's start.
-    // Descending ranks keep each slot in open_tasks order.
+    // Descending worker indices keep each slot ascending.
     offsets_.assign(static_cast<size_t>(segments * cells) + 1, 0);
-    std::vector<int64_t> slot(m);
-    for (size_t r = 0; r < m; ++r) {
-      const Task& task = instance.task(problem.open_tasks[r]);
-      slot[r] = skill_base_[static_cast<size_t>(task.required_skill)] +
-                cols_.count * rows_.Cell(task.location.y) +
-                cols_.Cell(task.location.x);
-      ++offsets_[static_cast<size_t>(slot[r])];
+    struct Pending {
+      int64_t slot;
+      int32_t worker;
+    };
+    const size_t n = problem.workers.size();
+    std::vector<Pending> pending;
+    std::vector<std::pair<double, double>> timing(n);  // deadline, velocity
+    // Worker reads miss the cache: the catalog's Worker rows and their skill
+    // arrays are scattered. Prefetching a row two strides ahead, and the
+    // skills of the row one stride ahead, overlaps those misses.
+    const auto worker_row = [&](size_t i) -> const Worker& {
+      return instance.worker(problem.workers[i].id);
+    };
+    for (size_t i = 0; i < n; ++i) {
+      if (i + 2 * kPrefetchStride < n) {
+        const Worker& row = worker_row(i + 2 * kPrefetchStride);
+        __builtin_prefetch(&row.start_time);
+        __builtin_prefetch(&row.skills);
+      }
+      if (i + kPrefetchStride < n) {
+        __builtin_prefetch(worker_row(i + kPrefetchStride).skills.data());
+      }
+      const WorkerState& state = problem.workers[i];
+      const geo::Point& p = state.location;
+      if (cut && (p.x < cols_.lo - reach_ || p.x > cols_.hi + reach_ ||
+                  p.y < rows_.lo - reach_ || p.y > rows_.hi + reach_)) {
+        continue;  // beyond every open task's reach box
+      }
+      const int64_t cell = cols_.count * rows_.Cell(p.y) + cols_.Cell(p.x);
+      const Worker& worker = instance.worker(state.id);
+      for (SkillId s : worker.skills) {
+        const int64_t base = skill_base_[static_cast<size_t>(s)];
+        if (base < 0) continue;  // no open task needs this skill
+        pending.push_back({base + cell, static_cast<int32_t>(i)});
+        ++offsets_[static_cast<size_t>(base + cell)];
+      }
+      timing[i] = {worker.Deadline(), worker.velocity};
     }
+    DASC_CHECK_LE(pending.size(),
+                  static_cast<size_t>(std::numeric_limits<int32_t>::max()));
     for (size_t p = 1; p < offsets_.size(); ++p) {
       offsets_[p] += offsets_[p - 1];
     }
-    ranks_.resize(m);
-    task_rows_.resize(m);
-    for (size_t r = m; r-- > 0;) {
-      const auto k =
-          static_cast<size_t>(--offsets_[static_cast<size_t>(slot[r])]);
-      ranks_[k] = static_cast<int32_t>(r);
-      task_rows_[k] = TaskRow::Of(instance.task(problem.open_tasks[r]));
+    const size_t num_entries = pending.size();
+    x_.resize(num_entries);
+    y_.resize(num_entries);
+    deadline_.resize(num_entries);
+    velocity_.resize(num_entries);
+    remaining_.resize(num_entries);
+    worker_.resize(num_entries);
+    for (size_t e = num_entries; e-- > 0;) {
+      const Pending& entry = pending[e];
+      const auto k = static_cast<size_t>(
+          --offsets_[static_cast<size_t>(entry.slot)]);
+      const auto i = static_cast<size_t>(entry.worker);
+      const WorkerState& state = problem.workers[i];
+      x_[k] = state.location.x;
+      y_[k] = state.location.y;
+      deadline_[k] = timing[i].first;
+      velocity_[k] = timing[i].second;
+      remaining_[k] = state.remaining_distance;
+      worker_[k] = entry.worker;
     }
     DASC_CHECK_LE(table_entries(),
                   2 * static_cast<int64_t>(num_skills) +
@@ -121,106 +203,80 @@ class CandidateIndex {
     return static_cast<int64_t>(skill_base_.size() + offsets_.size());
   }
 
-  // Appends to `ranks`, in probe order, the open_tasks ranks of every task
-  // `state` can serve; `probes` counts the entries tested.
-  void Query(const BatchProblem& problem, const WorkerState& state,
-             std::vector<int32_t>* ranks, int64_t* probes) const {
-    if (offsets_.empty()) return;
-    const Worker& worker = problem.instance->worker(state.id);
-    const ServeQuery q = ServeQuery::Of(worker, state, problem.now);
+  // Appends to `workers`, in probe order, the index of every worker that can
+  // serve open task `rank`; `probes` counts the entries tested.
+  void Query(const BatchProblem& problem, size_t rank,
+             std::vector<int32_t>* workers, int64_t* probes) const {
+    const OpenTask& task = tasks_[rank];
     int64_t col_lo = 0, col_hi = cols_.count - 1;
     int64_t row_lo = 0, row_hi = rows_.count - 1;
-    const double r = state.remaining_distance;
-    // With one cell (or an unbounded reach) the whole skill segment is in
-    // range.
-    if (num_cells() > 1.0 && std::isfinite(r)) {
-      // CanServe's Euclidean distance is never below |dx| or |dy|, so the
-      // reach box holds every servable task; the pad absorbs the rounding
-      // of the box's end points.
-      const geo::Point& p = state.location;
-      const double reach =
-          r + 1e-9 * (1.0 + std::fabs(p.x) + std::fabs(p.y) + std::fabs(r));
-      if (p.x + reach < cols_.lo || p.x - reach > cols_.hi ||
-          p.y + reach < rows_.lo || p.y - reach > rows_.hi) {
-        return;  // the box misses every open task
-      }
-      col_lo = cols_.Cell(p.x - reach);
-      col_hi = cols_.Cell(p.x + reach);
-      row_lo = rows_.Cell(p.y - reach);
-      row_hi = rows_.Cell(p.y + reach);
+    // With one cell the whole skill segment is in range.
+    if (num_cells() > 1.0) {
+      const geo::Point& p = task.row.location;
+      col_lo = cols_.Cell(p.x - reach_);
+      col_hi = cols_.Cell(p.x + reach_);
+      row_lo = rows_.Cell(p.y - reach_);
+      row_hi = rows_.Cell(p.y + reach_);
     }
-    for (SkillId s : worker.skills) {
-      const int64_t base = skill_base_[static_cast<size_t>(s)];
-      if (base < 0) continue;  // no open task needs this skill
-      for (int64_t row = row_lo; row <= row_hi; ++row) {
-        // Columns col_lo..col_hi of one row are adjacent slots, so the run
-        // ends where slot col_hi + 1 (the next row's, or the next
-        // segment's, first slot at the row's end) begins.
-        const int32_t* run = offsets_.data() + base + row * cols_.count;
-        ProbeRun(problem, state, q, static_cast<size_t>(run[col_lo]),
-                 static_cast<size_t>(run[col_hi + 1]), ranks);
-        *probes += run[col_hi + 1] - run[col_lo];
-      }
-    }
-  }
-
- private:
-  // Appends the ranks of the entries in [lo, hi) that `state` can serve.
-  void ProbeRun(const BatchProblem& problem, const WorkerState& state,
-                const ServeQuery& q, size_t lo, size_t hi,
-                std::vector<int32_t>* ranks) const {
-    if (problem.params.distance_kind != geo::DistanceKind::kEuclidean) {
-      for (size_t k = lo; k < hi; ++k) {
-        const TaskRow& row = task_rows_[k];
-        // CanServe's order: a road-network distance only inside the window.
-        if (InServeWindow(q, row.start_time) &&
-            InServeReach(q,
-                         PairDistance(problem.params, state.location,
-                                      row.location),
-                         row.expiry)) {
-          ranks->push_back(ranks_[k]);
+    // Columns col_lo..col_hi of one row are adjacent slots, so a row's run
+    // ends where slot col_hi + 1 (the next row's, or the next segment's,
+    // first slot at the row's end) begins.
+    const int32_t* first = offsets_.data() +
+                           skill_base_[static_cast<size_t>(task.skill)] +
+                           row_lo * cols_.count;
+    const int32_t* last = first + (row_hi - row_lo) * cols_.count;
+    if (!euclidean_) {
+      for (const int32_t* run = first; run <= last; run += cols_.count) {
+        for (auto k = static_cast<size_t>(run[col_lo]);
+             k < static_cast<size_t>(run[col_hi + 1]); ++k) {
+          const ServeQuery q{problem.now, deadline_[k], velocity_[k],
+                             remaining_[k]};
+          // CanServe's order: a road-network distance only inside the
+          // window.
+          if (InServeWindow(q, task.row.start_time) &&
+              InServeReach(q,
+                           PairDistance(problem.params, {x_[k], y_[k]},
+                                        task.row.location),
+                           task.row.expiry)) {
+            workers->push_back(worker_[k]);
+          }
         }
+        *probes += run[col_hi + 1] - run[col_lo];
       }
       return;
     }
-    // Every entry is written, and the count advances only on a fit.
-    const size_t base = ranks->size();
-    ranks->resize(base + (hi - lo));
-    int32_t* out = ranks->data() + base;
-    size_t hits = 0;
-    for (size_t k = lo; k < hi; ++k) {
-      const TaskRow& row = task_rows_[k];
-      out[hits] = ranks_[k];
-      hits += ServeFits(
-          q, row, geo::EuclideanDistance(state.location, row.location));
+    int64_t total = 0;
+    for (const int32_t* run = first; run <= last; run += cols_.count) {
+      total += run[col_hi + 1] - run[col_lo];
     }
-    ranks->resize(base + hits);
+    *probes += total;
+    const WorkerColumns columns{x_.data(),        y_.data(),
+                                deadline_.data(), velocity_.data(),
+                                remaining_.data(), worker_.data()};
+    size_t end = workers->size();
+    workers->resize(end + static_cast<size_t>(total));
+    for (const int32_t* run = first; run <= last; run += cols_.count) {
+      end += FitRun(columns, static_cast<size_t>(run[col_lo]),
+                    static_cast<size_t>(run[col_hi + 1]), problem.now,
+                    task.row, workers->data() + end);
+    }
+    workers->resize(end);
   }
 
-  // Sizes the grid over the open tasks' bounding box with at most
-  // `max_cells` cells.
-  void SizeGrid(const BatchProblem& problem, int64_t max_cells) {
-    const Instance& instance = *problem.instance;
-    const geo::Point& first =
-        instance.task(problem.open_tasks.front()).location;
-    cols_.lo = cols_.hi = first.x;
-    rows_.lo = rows_.hi = first.y;
-    for (TaskId t : problem.open_tasks) {
-      const geo::Point& p = instance.task(t).location;
-      cols_.lo = std::min(cols_.lo, p.x);
-      cols_.hi = std::max(cols_.hi, p.x);
-      rows_.lo = std::min(rows_.lo, p.y);
-      rows_.hi = std::max(rows_.hi, p.y);
-    }
-    double size = 0.0;
-    for (const WorkerState& state : problem.workers) {
-      if (state.remaining_distance > size) size = state.remaining_distance;
-    }
+ private:
+  struct OpenTask {
+    TaskRow row;
+    SkillId skill = 0;
+  };
+
+  // Sizes the grid over the open tasks' bounding box with cells `reach`
+  // wide, coarsened to at most `max_cells` cells.
+  void SizeGrid(double reach, int64_t max_cells) {
     const double width = cols_.hi - cols_.lo;
     const double height = rows_.hi - rows_.lo;
-    size = std::max(size, std::max(width, height) / kMaxCellsPerAxis);
+    double size = std::max(reach, std::max(width, height) / kMaxCellsPerAxis);
     if (!(size > 0.0) || !std::isfinite(size)) return;  // one cell
-    // Coarser cells only widen the runs a query probes, never drop a task.
+    // Coarser cells only widen the runs a query probes, never drop a worker.
     const auto cells = [&](double s) {
       return (std::floor(width / s) + 1.0) * (std::floor(height / s) + 1.0);
     };
@@ -232,13 +288,18 @@ class CandidateIndex {
 
   CellAxis cols_;
   CellAxis rows_;
+  bool euclidean_ = true;
+  // The batch's largest remaining_distance, padded: every task's reach.
+  double reach_ = 0.0;
   // Per skill: the first slot of its segment, or -1 without open tasks.
   std::vector<int64_t> skill_base_;
+  // Per open task, by rank: its packed row and required skill.
+  std::vector<OpenTask> tasks_;
   // Entry range of slot p is [offsets_[p], offsets_[p + 1]).
   std::vector<int32_t> offsets_;
-  // Per entry, in (skill, cell, rank) order.
-  std::vector<int32_t> ranks_;
-  std::vector<TaskRow> task_rows_;
+  // Per entry, in (skill, cell, worker) order: the WorkerColumns.
+  std::vector<double> x_, y_, deadline_, velocity_, remaining_;
+  std::vector<int32_t> worker_;
 };
 
 }  // namespace
@@ -324,21 +385,22 @@ CandidateEdges BuildCandidateEdges(const BatchProblem& problem) {
   edges.workers = sets.task_workers;
   edges.travel_time.resize(edges.workers.size());
 
-  // Rows are disjoint, so the fill parallelizes over tasks bit-identically.
-  // Travel time is the cost the matching step has always charged:
-  // ServeDistance (current position -> [dependency detour ->] task) divided
-  // by the worker's velocity.
+  // Rows are disjoint, so the fill parallelizes over tasks bit-identically;
+  // only open tasks have non-empty rows. Travel time is the cost the
+  // matching step has always charged: ServeDistance (current position ->
+  // [dependency detour ->] task) divided by the worker's velocity.
   constexpr int64_t kTaskGrain = 256;
   util::ParallelFor(
-      0, static_cast<int64_t>(instance.num_tasks()), kTaskGrain,
+      0, static_cast<int64_t>(problem.open_tasks.size()), kTaskGrain,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t t = lo; t < hi; ++t) {
+        for (int64_t r = lo; r < hi; ++r) {
+          const TaskId t = problem.open_tasks[static_cast<size_t>(r)];
           for (int64_t e = edges.row_begin[static_cast<size_t>(t)];
                e < edges.row_begin[static_cast<size_t>(t) + 1]; ++e) {
             const WorkerState& state = problem.workers[static_cast<size_t>(
                 edges.workers[static_cast<size_t>(e)])];
-            const double dist = ServeDistance(
-                instance, state, static_cast<TaskId>(t), problem.params);
+            const double dist =
+                ServeDistance(instance, state, t, problem.params);
             edges.travel_time[static_cast<size_t>(e)] =
                 dist / instance.worker(state.id).velocity;
           }
@@ -365,84 +427,80 @@ CandidateSets BuildCandidates(const BatchProblem& problem) {
   DASC_METRIC_GAUGE_SET("candidates_index_table_entries",
                         static_cast<double>(index.table_entries()));
 
-  // Chunk c owns workers [c * kWorkerGrain, (c + 1) * kWorkerGrain): it
-  // appends their hits (open_tasks ranks, in probe order) to hits[c] and
-  // their counts to worker_begin. Chunks are fixed by the grain, not by the
-  // pool, and the index is read-only, so every thread count fills the same.
-  const int64_t num_chunks =
-      (static_cast<int64_t>(n) + kWorkerGrain - 1) / kWorkerGrain;
-  std::vector<std::vector<int32_t>> hits(static_cast<size_t>(num_chunks));
-  util::ParallelFor(0, num_chunks, 1, [&](int64_t c_lo, int64_t c_hi) {
+  // Chunk c owns open tasks [c * kQueryGrain, (c + 1) * kQueryGrain) by rank:
+  // it appends their hits (worker indices, in probe order) to hits[c] and
+  // their counts to count. Chunks are fixed by the grain, not by the pool,
+  // and the index is read-only, so every thread count fills the same.
+  const size_t num_chunks = (num_open + kQueryGrain - 1) / kQueryGrain;
+  std::vector<std::vector<int32_t>> hits(num_chunks);
+  std::vector<int64_t> count(num_open, 0);
+  util::ParallelFor(0, static_cast<int64_t>(num_chunks), 1,
+                    [&](int64_t c_lo, int64_t c_hi) {
     int64_t probes = 0;  // accumulated locally, one counter add per call
-    for (int64_t c = c_lo; c < c_hi; ++c) {
-      std::vector<int32_t>& ranks = hits[static_cast<size_t>(c)];
-      const int64_t end = std::min<int64_t>(static_cast<int64_t>(n),
-                                            (c + 1) * kWorkerGrain);
-      for (int64_t i = c * kWorkerGrain; i < end; ++i) {
-        const size_t before = ranks.size();
-        index.Query(problem, problem.workers[static_cast<size_t>(i)], &ranks,
-                    &probes);
-        sets.worker_begin[static_cast<size_t>(i) + 1] =
-            static_cast<int64_t>(ranks.size() - before);
+    for (auto c = static_cast<size_t>(c_lo); c < static_cast<size_t>(c_hi);
+         ++c) {
+      std::vector<int32_t>& workers = hits[c];
+      const size_t end = std::min(num_open, (c + 1) * kQueryGrain);
+      for (size_t r = c * kQueryGrain; r < end; ++r) {
+        const size_t before = workers.size();
+        index.Query(problem, r, &workers, &probes);
+        count[r] = static_cast<int64_t>(workers.size() - before);
       }
     }
     DASC_METRIC_COUNTER_ADD("candidates_probes_total", probes);
   });
+
+  // Both sides come from two stable counting passes, with no comparison
+  // sort. Scattering the hits by worker, read task by task in rank order,
+  // fills each worker's row in open_tasks order (holding ranks for now);
+  // reading the worker side back in ascending worker order fills each task's
+  // row ascending.
+  for (const std::vector<int32_t>& workers : hits) {
+    for (int32_t i : workers) ++sets.worker_begin[static_cast<size_t>(i) + 1];
+  }
   for (size_t i = 0; i < n; ++i) {
     sets.worker_begin[i + 1] += sets.worker_begin[i];
   }
   sets.num_pairs = sets.worker_begin[n];
-
-  // Both sides come from two stable counting passes over the chunk buffers
-  // read in chunk order, with no comparison sort. Grouping the pairs by task
-  // in ascending worker order gives each task's workers ascending; reading
-  // the task side back rank by rank gives each worker's tasks in open_tasks
-  // order.
-  std::vector<int64_t> cursor(num_open, 0);
-  for (const std::vector<int32_t>& ranks : hits) {
-    for (int32_t r : ranks) ++cursor[static_cast<size_t>(r)];
+  sets.worker_tasks.resize(static_cast<size_t>(sets.num_pairs));
+  std::vector<int64_t> next(sets.worker_begin.begin(),
+                            sets.worker_begin.end() - 1);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const std::vector<int32_t>& workers = hits[c];
+    size_t g = 0;
+    const size_t end = std::min(num_open, (c + 1) * kQueryGrain);
+    for (size_t r = c * kQueryGrain; r < end; ++r) {
+      for (int64_t j = 0; j < count[r]; ++j, ++g) {
+        sets.worker_tasks[static_cast<size_t>(
+            next[static_cast<size_t>(workers[g])]++)] =
+            static_cast<TaskId>(r);
+      }
+    }
   }
   for (size_t r = 0; r < num_open; ++r) {
     sets.task_begin[static_cast<size_t>(problem.open_tasks[r]) + 1] =
-        cursor[r];
+        count[r];
   }
   for (size_t t = 0; t < num_tasks; ++t) {
     sets.task_begin[t + 1] += sets.task_begin[t];
   }
+  std::vector<int64_t>& cursor = count;  // per rank: the task row's next slot
   for (size_t r = 0; r < num_open; ++r) {
     cursor[r] = sets.task_begin[static_cast<size_t>(problem.open_tasks[r])];
   }
   sets.task_workers.resize(static_cast<size_t>(sets.num_pairs));
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    const std::vector<int32_t>& ranks = hits[static_cast<size_t>(c)];
-    const int64_t first = c * kWorkerGrain;
-    const int64_t end = std::min<int64_t>(static_cast<int64_t>(n),
-                                          first + kWorkerGrain);
-    const int64_t* row = sets.worker_begin.data();
-    for (int64_t i = first; i < end; ++i) {
-      for (int64_t g = row[i]; g < row[i + 1]; ++g) {
-        const auto r = static_cast<size_t>(
-            ranks[static_cast<size_t>(g - row[first])]);
-        sets.task_workers[static_cast<size_t>(cursor[r]++)] =
-            static_cast<int32_t>(i);
-      }
+  for (size_t i = 0; i < n; ++i) {
+    for (int64_t g = sets.worker_begin[i]; g < sets.worker_begin[i + 1];
+         ++g) {
+      TaskId& task = sets.worker_tasks[static_cast<size_t>(g)];
+      const auto r = static_cast<size_t>(task);
+      sets.task_workers[static_cast<size_t>(cursor[r]++)] =
+          static_cast<int32_t>(i);
+      task = problem.open_tasks[r];
     }
   }
-  FillWorkerTasks(problem.open_tasks, &sets);
   DASC_METRIC_COUNTER_ADD("candidates_pairs_total", sets.num_pairs);
   return sets;
-}
-
-void FillWorkerTasks(std::span<const TaskId> tasks, CandidateSets* sets) {
-  sets->worker_tasks.resize(static_cast<size_t>(sets->worker_begin.back()));
-  std::vector<int64_t> next(sets->worker_begin.begin(),
-                            sets->worker_begin.end() - 1);
-  for (TaskId t : tasks) {
-    for (int32_t i : sets->TaskWorkers(t)) {
-      sets->worker_tasks[static_cast<size_t>(
-          next[static_cast<size_t>(i)]++)] = t;
-    }
-  }
 }
 
 ServeFailure ClassifyBatchTaskFailure(const BatchProblem& problem,
@@ -451,7 +509,7 @@ ServeFailure ClassifyBatchTaskFailure(const BatchProblem& problem,
   DASC_CHECK(!problem.workers.empty());
   // Max over workers = the most advanced stage any worker reached; the
   // candidate index cannot supply this (it never probes workers lacking the
-  // skill or tasks outside their reach box), hence the dedicated scan.
+  // skill or outside the task's reach box), hence the dedicated scan.
   ServeFailure best = ServeFailure::kSkillMismatch;
   for (const WorkerState& state : problem.workers) {
     const ServeFailure f =

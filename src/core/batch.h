@@ -150,20 +150,17 @@ struct CandidateEdges {
 // Deterministic for every thread count.
 CandidateEdges BuildCandidateEdges(const BatchProblem& problem);
 
-// Computes candidate sets from a per-batch (skill, cell) index over the open
-// tasks: each worker probes, with CanServe, only the open tasks that need one
-// of its skills and lie in the cells its reach box overlaps (one cell for
-// non-Euclidean distance kinds), reading each run's bounds from the index's
-// (skill, cell) offset table. Workers are partitioned into fixed chunks run
-// on the global thread pool (util::ParallelFor), each collecting its hits in
-// one buffer; the output is bit-identical for every thread count, including
-// the --threads=1 serial fallback.
+// Computes candidate sets from a per-batch (skill, cell) index over the idle
+// workers: each open task probes, with CanServe's arithmetic, only the
+// workers that have its skill and stand in the cells its reach box (the
+// batch's largest remaining_distance around it) overlaps, reading each run's
+// bounds from the index's (skill, cell) offset table. Non-Euclidean distance
+// kinds use one cell. Open tasks are partitioned into fixed chunks run on
+// the global thread pool (util::ParallelFor), each collecting its hits in one
+// buffer, and two counting passes publish both sides; the output is
+// bit-identical for every thread count, including the --threads=1 serial
+// fallback.
 CandidateSets BuildCandidates(const BatchProblem& problem);
-
-// Fills sets->worker_tasks from the task side, given the task side and
-// worker_begin: each worker's row lists its tasks in the order of `tasks`,
-// which must include every task with a non-empty task-side row.
-void FillWorkerTasks(std::span<const TaskId> tasks, CandidateSets* sets);
 
 // The most advanced ServeFailure any idle worker reaches against `task`
 // (kNone when some worker is fully feasible this batch). The lifecycle

@@ -5,6 +5,9 @@
 // outside the tasks' bounding box, tasks exactly on the reach boundary or
 // on cell edges, zero and oversized reach, mixed remaining budgets within
 // one batch, and batches where the offset table's cap coarsens the grid.
+// The index holds the idle workers and each open task probes it, so its
+// two-lane probe kernel (core/serve_kernel.h) is also checked on its own,
+// bit for bit against the scalar ServeFits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +17,8 @@
 #include <vector>
 
 #include "core/batch.h"
+#include "core/serve_kernel.h"
+#include "geo/distance.h"
 #include "geo/road_network.h"
 #include "test_util.h"
 #include "util/metrics.h"
@@ -463,8 +468,8 @@ TEST(CandidateIndexTest, RightIdsInWrongRowsCompareUnequal) {
 
 // ------------------------------------------ the probe kernel's edges ---
 //
-// The index tests each entry with ServeFits over the packed task row; the
-// skill is implied by the bucket. These cases sit on each of its
+// The index tests each entry with ServeFits over the worker's packed
+// columns; the skill is implied by the bucket. These cases sit on each of its
 // comparisons, where the exhaustive reference (CanServe) decides.
 
 // A task at (x, 0) needing skill 0, starting at `start` with `wait`.
@@ -536,9 +541,8 @@ TEST(ProbeKernelTest, ArrivalEqualToExpiry) {
 }
 
 TEST(ProbeKernelTest, InfiniteReach) {
-  // One unbounded worker makes the cell one cell; a NaN budget never fails
-  // the budget comparison either, and skips the reach box in a many-cell
-  // grid set by the finite workers.
+  // One unbounded worker makes the grid one cell; a NaN budget never fails
+  // the budget comparison either, and makes the grid one cell as well.
   const Instance instance = ClusteredInstance(12, 60, 200, 3, 0.05);
   BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
   problem.workers[3].remaining_distance =
@@ -731,6 +735,378 @@ TEST(GridIndexTest, LargeRadiusReturnsEverything) {
       PointsInstance(tasks, {{0.5, 0.5}, {-3, 8}, {40, 40}}, 10.0);
   const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
   EXPECT_EQ(ExpectMatchesExhaustive(problem), 200);
+}
+
+// ------------------------------------------- the worker-side build ---
+//
+// The index holds the idle workers in a grid over the open tasks' box, and
+// leaves out the workers beyond that box grown by the batch's largest
+// reach. Each case puts workers on either side of that cut, or makes the
+// cut inapplicable (an unbounded reach, a non-Euclidean kind).
+
+TEST(WorkerIndexTest, WorkersAroundTheGrownTaskBox) {
+  // Tasks span [0, 1]^2 with some on the box's edges; the largest reach is
+  // 0.25, so the cut lies at -0.25 and 1.25. Workers stand exactly on the
+  // cut (serving an edge task at distance 0.25), a hair beyond it, and far
+  // out, with reaches from 0.025 to 0.25.
+  util::Rng rng(41);
+  std::vector<geo::Point> tasks = {{0, 0.5}, {1, 0.5}, {0.5, 0}, {0.5, 1},
+                                   {0, 0},   {1, 1}};
+  for (int i = 0; i < 100; ++i) {
+    tasks.push_back({rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)});
+  }
+  const double beyond = std::nextafter(-0.25, -1.0);
+  const std::vector<geo::Point> workers = {
+      {-0.25, 0.5}, {1.25, 0.5},   {0.5, -0.25},   {0.5, 1.25},
+      {beyond, 0.5}, {0.5, 1.2500001}, {-0.2, -0.2}, {1.2, 1.2},
+      {-0.1, 0.3},  {1.1, 0.7},    {0.4, -0.1},    {-3, 0.5},
+      {0.5, 40},    {0.5, 0.5}};
+  const Instance instance = PointsInstance(tasks, workers, 0.25);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+  const CandidateSets sets = BuildCandidates(problem);
+  EXPECT_EQ(RowOf(sets.WorkerTasks(0)), (std::vector<TaskId>{0}));
+  EXPECT_EQ(RowOf(sets.WorkerTasks(3)), (std::vector<TaskId>{3}));
+  EXPECT_TRUE(sets.WorkerTasks(4).empty());
+  EXPECT_TRUE(sets.WorkerTasks(5).empty());
+  // Mixed reaches of 0.1x to 1x the largest, which stays 0.25.
+  for (size_t i = 6; i < problem.workers.size(); ++i) {
+    problem.workers[i].remaining_distance = rng.UniformDouble(0.025, 0.25);
+  }
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+TEST(WorkerIndexTest, GrownBoxEndRoundsBelowAServingWorker) {
+  // The rightmost task stands just left of 0, so CanServe's dx = 1 -
+  // (-8e-17) rounds to exactly 1.0 = reach, while the grown box's end
+  // -8e-17 + 1.0 rounds down to 1 - 2^-53, left of the worker. The index
+  // must still hold the worker.
+  const Instance instance =
+      PointsInstance({{-8e-17, 0}, {-1, 0}, {-2, 0}}, {{1, 0}}, 1.0);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 1);
+}
+
+TEST(WorkerIndexTest, OneInfiniteReachMakesOneCellAndKeepsFarWorkers) {
+  // Without the infinite reach the grid has many cells; with it the grid
+  // is one cell, and no worker is left out, however far: the unbounded
+  // worker serves every task, and the far finite ones serve none.
+  const Instance base = ClusteredInstance(15, 120, 300, 4, 0.05);
+  std::vector<Worker> workers = base.workers();
+  workers.push_back(MakeWorker(120, 50.0, -50.0, {0, 1, 2, 3}, 0.0, 1e6, 1e9,
+                               0.05));
+  workers.push_back(MakeWorker(121, -40.0, 7.0, {0, 1, 2, 3}, 0.0, 1e6, 1e9,
+                               0.05));
+  const Instance instance = MakeInstance(workers, base.tasks(), 4);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+#if DASC_METRICS_ENABLED
+  EXPECT_GT(ShapeOf(problem).cells, 1.0);
+#endif
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+  problem.workers[120].remaining_distance =
+      std::numeric_limits<double>::infinity();
+#if DASC_METRICS_ENABLED
+  EXPECT_EQ(ShapeOf(problem).cells, 1.0);
+#endif
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+  const CandidateSets sets = BuildCandidates(problem);
+  EXPECT_EQ(sets.WorkerTasks(120).size(), 300u);
+  EXPECT_TRUE(sets.WorkerTasks(121).empty());
+}
+
+TEST(WorkerIndexTest, ZeroReachOverAClusteredCity) {
+  // Every budget is zero: the cell size falls to the spread / 2^20 and the
+  // table's cap coarsens it. Half the workers stand on a task.
+  const Instance base = ClusteredInstance(16, 200, 300, 5, 0.0);
+  std::vector<Worker> workers = base.workers();
+  for (size_t w = 0; w < workers.size(); w += 2) {
+    workers[w].location = base.task(static_cast<TaskId>(w)).location;
+    workers[w].skills = {base.task(static_cast<TaskId>(w)).required_skill};
+  }
+  const Instance instance = MakeInstance(workers, base.tasks(), 5);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_GE(ExpectMatchesExhaustive(problem), 100);
+}
+
+TEST(WorkerIndexTest, MixedReachesOfATenthToAllOfTheLargest) {
+  const Instance instance = ClusteredInstance(17, 400, 400, 6, 0.2);
+  BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  util::Rng rng(18);
+  for (WorkerState& state : problem.workers) {
+    state.remaining_distance = 0.2 * rng.UniformDouble(0.1, 1.0);
+  }
+  problem.workers[0].remaining_distance = 0.2;
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+}
+
+TEST(WorkerIndexTest, NonEuclideanKindsIndexWorkersBeyondTheTaskBox) {
+  // Near the pole a degree of longitude is about 0.2 m, so a worker 30
+  // degrees east of the tasks is a few metres away in haversine km: a cut
+  // in coordinate units would drop it.
+  std::vector<Task> tasks;
+  for (int t = 0; t < 20; ++t) {
+    tasks.push_back(MakeTask(t, 0.01 * t, 89.9999, t % 2));
+  }
+  std::vector<Worker> workers = {
+      MakeWorker(0, 30.0, 89.9999, {0, 1}, 0.0, 1e6, 1e3, 0.05),
+      MakeWorker(1, -60.0, 89.9999, {1}, 0.0, 1e6, 1e3, 0.05),
+      MakeWorker(2, 0.1, 10.0, {0, 1}, 0.0, 1e6, 1e3, 0.05)};
+  const Instance polar = MakeInstance(workers, tasks, 2);
+  BatchProblem problem = BatchProblem::AllAt(polar, 0.0);
+  problem.params.distance_kind = geo::DistanceKind::kHaversineKm;
+  EXPECT_EQ(ExpectMatchesExhaustive(problem), 30);
+
+  // Manhattan and the road network: mixed reaches, workers spread beyond
+  // the tasks' box.
+  const Instance city = ClusteredInstance(19, 150, 200, 4, 0.15);
+  geo::RoadNetwork::Options options;
+  options.grid_width = 10;
+  options.grid_height = 10;
+  const geo::RoadNetwork network =
+      geo::RoadNetwork::MakeGrid(-0.3, -0.3, 1.3, 1.3, options);
+  for (geo::DistanceKind kind :
+       {geo::DistanceKind::kManhattan, geo::DistanceKind::kRoadNetwork}) {
+    BatchProblem mixed = BatchProblem::AllAt(city, 0.0);
+    mixed.params.distance_kind = kind;
+    mixed.params.road_network = &network;
+    util::Rng rng(20);
+    for (WorkerState& state : mixed.workers) {
+      state.remaining_distance = 0.15 * rng.UniformDouble(0.1, 1.0);
+    }
+    EXPECT_GT(ExpectMatchesExhaustive(mixed), 0)
+        << "kind " << static_cast<int>(kind);
+  }
+}
+
+TEST(WorkerIndexTest, ASkillNoIdleWorkerHas) {
+  // Skill 2's tasks get no candidates, and skill 3, which only workers
+  // have, gets no segment; the other tasks are served as usual.
+  std::vector<Task> tasks;
+  for (int t = 0; t < 30; ++t) {
+    tasks.push_back(MakeTask(t, 0.03 * t, 0.02 * (t % 5), t % 3));
+  }
+  std::vector<Worker> workers;
+  for (int w = 0; w < 12; ++w) {
+    workers.push_back(MakeWorker(w, 0.08 * w, 0.05,
+                                 {static_cast<SkillId>(w % 2), 3}, 0.0, 1e6,
+                                 1e3, 0.2));
+  }
+  const Instance instance = MakeInstance(workers, tasks, 4);
+  const BatchProblem problem = BatchProblem::AllAt(instance, 0.0);
+  EXPECT_GT(ExpectMatchesExhaustive(problem), 0);
+  const CandidateSets sets = BuildCandidates(problem);
+  for (int t = 2; t < 30; t += 3) {
+    EXPECT_TRUE(sets.TaskWorkers(t).empty()) << "task " << t;
+  }
+}
+
+// --------------------------------------- the two-lane probe kernel ---
+//
+// FitRun against ServeFits(q, task, EuclideanDistance(worker, task)) entry
+// by entry, on every run of up to five entries (so each entry takes either
+// SIMD lane and the scalar tail) and on the whole run.
+
+// Worker entries as owned columns.
+struct EntryColumns {
+  std::vector<double> x, y, deadline, velocity, remaining;
+  std::vector<int32_t> worker;
+
+  void Add(double px, double py, double dl, double vel, double rem) {
+    x.push_back(px);
+    y.push_back(py);
+    deadline.push_back(dl);
+    velocity.push_back(vel);
+    remaining.push_back(rem);
+    worker.push_back(static_cast<int32_t>(worker.size()));
+  }
+  size_t size() const { return worker.size(); }
+  WorkerColumns View() const {
+    return {x.data(),        y.data(),         deadline.data(),
+            velocity.data(), remaining.data(), worker.data()};
+  }
+};
+
+// The workers of entries [lo, hi) that ServeFits accepts, in entry order.
+std::vector<int32_t> ScalarFits(const EntryColumns& e, size_t lo, size_t hi,
+                                double now, const TaskRow& task) {
+  std::vector<int32_t> fits;
+  for (size_t k = lo; k < hi; ++k) {
+    const ServeQuery q{now, e.deadline[k], e.velocity[k], e.remaining[k]};
+    if (ServeFits(q, task,
+                  geo::EuclideanDistance({e.x[k], e.y[k]}, task.location))) {
+      fits.push_back(e.worker[k]);
+    }
+  }
+  return fits;
+}
+
+// FitRun over [lo, hi) into a buffer of exactly hi - lo slots.
+std::vector<int32_t> KernelFits(const EntryColumns& e, size_t lo, size_t hi,
+                                double now, const TaskRow& task) {
+  std::vector<int32_t> out(hi - lo);
+  out.resize(FitRun(e.View(), lo, hi, now, task, out.data()));
+  return out;
+}
+
+// Returns how many entries of the whole run fit.
+size_t ExpectKernelMatchesScalar(const EntryColumns& e, double now,
+                                 const TaskRow& task) {
+  for (size_t lo = 0; lo <= e.size(); ++lo) {
+    for (size_t hi = lo; hi <= std::min(e.size(), lo + 5); ++hi) {
+      EXPECT_EQ(KernelFits(e, lo, hi, now, task),
+                ScalarFits(e, lo, hi, now, task))
+          << "run [" << lo << ", " << hi << ")";
+    }
+  }
+  const std::vector<int32_t> all = ScalarFits(e, 0, e.size(), now, task);
+  EXPECT_EQ(KernelFits(e, 0, e.size(), now, task), all);
+  return all.size();
+}
+
+double Up(double v) { return std::nextafter(v, HUGE_VAL); }
+double Down(double v) { return std::nextafter(v, -HUGE_VAL); }
+
+TEST(ServeKernelTest, DistanceOnTheBudgetAndOneUlpEitherSide) {
+  const TaskRow task{{0.25, -0.75}, 0.0, 1e9};
+  EntryColumns e;
+  util::Rng rng(51);
+  for (int i = 0; i < 12; ++i) {
+    const geo::Point p{rng.UniformDouble(-2, 2), rng.UniformDouble(-2, 2)};
+    const double dist = geo::EuclideanDistance(p, task.location);
+    for (double rem : {dist, Down(dist), Up(dist)}) {
+      e.Add(p.x, p.y, 10.0, 1.0, rem);
+    }
+  }
+  // 3-4-5 exactly.
+  e.Add(3.25, 3.25, 10.0, 1.0, 5.0);
+  e.Add(3.25, 3.25, 10.0, 1.0, Down(5.0));
+  EXPECT_EQ(ExpectKernelMatchesScalar(e, 0.0, task), 12u * 2 + 1);
+}
+
+TEST(ServeKernelTest, ArrivalOnTheExpiryAndOneUlpEitherSide) {
+  util::Rng rng(52);
+  EntryColumns e;
+  for (int i = 0; i < 9; ++i) {
+    e.Add(rng.UniformDouble(-1, 1), rng.UniformDouble(-1, 1), 100.0,
+          rng.UniformDouble(0.3, 3.0), 10.0);
+  }
+  const double now = 1.25;
+  size_t fits = 0;
+  for (size_t k = 0; k < e.size(); ++k) {
+    TaskRow task{{0.1, 0.2}, 0.0, 0.0};
+    const double arrival =
+        now + geo::EuclideanDistance({e.x[k], e.y[k]}, task.location) /
+                  e.velocity[k];
+    for (double expiry : {arrival, Down(arrival), Up(arrival)}) {
+      task.expiry = expiry;
+      fits += ExpectKernelMatchesScalar(e, now, task);
+    }
+  }
+  EXPECT_GT(fits, 0u);
+}
+
+TEST(ServeKernelTest, TimeWindowEdges) {
+  // Worker deadlines at, just below and just above now; task starts at now,
+  // at a deadline, and one ulp either side of each.
+  const double now = 7.5;
+  EntryColumns e;
+  for (double dl : {now, Down(now), Up(now), 9.0, Down(9.0), Up(9.0)}) {
+    e.Add(0.5, 0.5, dl, 1.0, 10.0);
+  }
+  size_t fits = 0;
+  for (double start :
+       {now, Down(now), Up(now), 9.0, Down(9.0), Up(9.0), 0.0}) {
+    fits += ExpectKernelMatchesScalar(e, now, TaskRow{{0, 0}, start, 100.0});
+  }
+  EXPECT_GT(fits, 0u);
+}
+
+TEST(ServeKernelTest, NaNAndSignedZeroFields) {
+  // A fitting pair, then every field of the entry, the task and the batch
+  // time set in turn to each special value.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {nan, -nan, 0.0, -0.0, inf, -inf,
+                                        std::numeric_limits<double>::denorm_min()};
+  struct Fields {
+    double x = 0.2, y = 0.1, deadline = 5.0, velocity = 2.0, remaining = 1.0;
+    double tx = 0.0, ty = 0.0, start = 0.0, expiry = 4.0, now = 1.0;
+  };
+  int cases = 0;
+  for (int field = 0; field < 10; ++field) {
+    for (double v : specials) {
+      Fields f;
+      double* slots[] = {&f.x,  &f.y,  &f.deadline, &f.velocity, &f.remaining,
+                         &f.tx, &f.ty, &f.start,    &f.expiry,   &f.now};
+      *slots[field] = v;
+      EntryColumns e;
+      // The special entry beside ordinary ones, in both lanes.
+      e.Add(f.x, f.y, f.deadline, f.velocity, f.remaining);
+      e.Add(0.2, 0.1, 5.0, 2.0, 1.0);
+      e.Add(f.x, f.y, f.deadline, f.velocity, f.remaining);
+      e.Add(9.0, 9.0, 5.0, 2.0, 1.0);
+      e.Add(f.x, f.y, f.deadline, f.velocity, f.remaining);
+      ExpectKernelMatchesScalar(e, f.now,
+                                TaskRow{{f.tx, f.ty}, f.start, f.expiry});
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 70);
+}
+
+// 10^5 entry-task pairs: ordinary values mixed with specials, budgets and
+// expiries on or one ulp off their exact boundary, and runs of every
+// length and start.
+TEST(ServeKernelTest, RandomSweepMatchesScalar) {
+  util::Rng rng(53);
+  const std::vector<double> specials = {
+      std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), 1e-310, 1e300};
+  const auto value = [&](double lo, double hi) {
+    if (rng.Bernoulli(0.03)) {
+      return specials[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(specials.size()) - 1))];
+    }
+    return rng.UniformDouble(lo, hi);
+  };
+  const auto nudge = [&](double v) {
+    switch (rng.UniformInt(0, 2)) {
+      case 0: return Down(v);
+      case 1: return Up(v);
+      default: return v;
+    }
+  };
+  int64_t pairs = 0;
+  size_t fits = 0;
+  for (int c = 0; c < 1000; ++c) {
+    const double now = value(0.0, 10.0);
+    TaskRow task{{value(-1, 1), value(-1, 1)}, value(0.0, 10.0), 0.0};
+    task.expiry = now + value(0.0, 3.0);
+    EntryColumns e;
+    const auto n = static_cast<size_t>(rng.UniformInt(100, 104));
+    for (size_t k = 0; k < n; ++k) {
+      const geo::Point p{value(-1, 1), value(-1, 1)};
+      const double vel = value(0.2, 4.0);
+      const double dist = geo::EuclideanDistance(p, task.location);
+      double rem = value(0.0, 2.0);
+      if (rng.Bernoulli(0.2)) rem = nudge(dist);
+      e.Add(p.x, p.y, value(0.0, 12.0), vel, rem);
+      if (k == 0 && rng.Bernoulli(0.5)) task.expiry = nudge(now + dist / vel);
+    }
+    const std::vector<int32_t> want = ScalarFits(e, 0, n, now, task);
+    ASSERT_EQ(KernelFits(e, 0, n, now, task), want) << "case " << c;
+    const size_t lo = static_cast<size_t>(rng.UniformInt(0, 5));
+    const size_t hi = n - static_cast<size_t>(rng.UniformInt(0, 5));
+    ASSERT_EQ(KernelFits(e, lo, hi, now, task),
+              ScalarFits(e, lo, hi, now, task))
+        << "case " << c;
+    pairs += static_cast<int64_t>(n);
+    fits += want.size();
+  }
+  EXPECT_GE(pairs, 100000);
+  EXPECT_GT(fits, 1000u);
+  EXPECT_LT(fits, static_cast<size_t>(pairs) / 2);
 }
 
 }  // namespace
