@@ -59,9 +59,13 @@ struct GameOptions {
   std::string display_name;
 };
 
+// Batch-local best-response state (game.cc), reused across batches.
+struct GameArena;
+
 class GameAllocator : public core::Allocator {
  public:
   explicit GameAllocator(GameOptions options = {});
+  ~GameAllocator() override;
 
   std::string_view name() const override { return name_; }
   core::Assignment Allocate(const core::BatchProblem& problem) override;
@@ -77,6 +81,10 @@ class GameAllocator : public core::Allocator {
   // G-G's greedy seeder, persisted across batches so its cross-batch
   // warm-start store survives (greedy.h); created on first use.
   std::unique_ptr<GreedyAllocator> seed_allocator_;
+  // Every per-batch array of Allocate, keyed by open-task rank or batch
+  // worker index; its capacity carries over, so a batch allocates nothing
+  // once the arena has grown to fit it.
+  std::unique_ptr<GameArena> arena_;
 };
 
 // Σ_w U_w(s_w, \bar{s}_w) under an explicit strategy profile (worker index

@@ -341,25 +341,32 @@ void BatchProblem::MarkEdgesUnchangedSince(
   Edges();
   CandidateEdges& cur = *edges_cache;
   const size_t num_tasks = cur.row_begin.size() - 1;
-  cur.row_unchanged.assign(num_tasks, 0);
-  if (prev.row_begin.size() != cur.row_begin.size()) return;
+  if (prev.row_begin.size() != cur.row_begin.size()) {
+    cur.row_unchanged.assign(num_tasks, 0);
+    return;
+  }
+  cur.row_unchanged.assign(num_tasks, 1);
+  const auto row_size = [](const CandidateEdges& edges, TaskId t) {
+    return edges.row_begin[static_cast<size_t>(t) + 1] -
+           edges.row_begin[static_cast<size_t>(t)];
+  };
 
-  // Rows are independent, so the compare parallelizes bit-identically, same
-  // as the fill in BuildCandidateEdges. Worker identity is by instance-global
-  // id: the worker-index column space is rebuilt every batch, so equal
-  // indices mean nothing across batches.
+  // This batch's open rows, compared entry by entry. Rows are independent,
+  // so the compare parallelizes bit-identically, same as the fill in
+  // BuildCandidateEdges. Worker identity is by instance-global id: the
+  // worker-index column space is rebuilt every batch, so equal indices mean
+  // nothing across batches.
   constexpr int64_t kTaskGrain = 256;
   util::ParallelFor(
-      0, static_cast<int64_t>(num_tasks), kTaskGrain,
+      0, static_cast<int64_t>(cur.open_rows.size()), kTaskGrain,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t t = lo; t < hi; ++t) {
+        for (int64_t r = lo; r < hi; ++r) {
+          const TaskId t = cur.open_rows[static_cast<size_t>(r)];
           const int64_t b = cur.row_begin[static_cast<size_t>(t)];
-          const int64_t e = cur.row_begin[static_cast<size_t>(t) + 1];
           const int64_t pb = prev.row_begin[static_cast<size_t>(t)];
-          const int64_t pe = prev.row_begin[static_cast<size_t>(t) + 1];
-          if (e - b != pe - pb) continue;
-          bool same = true;
-          for (int64_t k = 0; same && k < e - b; ++k) {
+          const int64_t size = row_size(cur, t);
+          bool same = size == row_size(prev, t);
+          for (int64_t k = 0; same && k < size; ++k) {
             const auto ci = static_cast<size_t>(b + k);
             const auto pi = static_cast<size_t>(pb + k);
             const WorkerId cur_id =
@@ -372,6 +379,13 @@ void BatchProblem::MarkEdgesUnchangedSince(
           cur.row_unchanged[static_cast<size_t>(t)] = same ? 1 : 0;
         }
       });
+  // The previous batch's open rows that are closed now: this row is empty,
+  // so the row is unchanged exactly when it was empty before too.
+  for (TaskId t : prev.open_rows) {
+    if (row_size(cur, t) != row_size(prev, t)) {
+      cur.row_unchanged[static_cast<size_t>(t)] = 0;
+    }
+  }
 }
 
 CandidateEdges BuildCandidateEdges(const BatchProblem& problem) {
@@ -381,6 +395,7 @@ CandidateEdges BuildCandidateEdges(const BatchProblem& problem) {
 
   CandidateEdges edges;
   edges.num_workers = static_cast<int>(problem.workers.size());
+  edges.open_rows = problem.open_tasks;
   edges.row_begin = sets.task_begin;
   edges.workers = sets.task_workers;
   edges.travel_time.resize(edges.workers.size());
@@ -452,9 +467,9 @@ CandidateSets BuildCandidates(const BatchProblem& problem) {
 
   // Both sides come from two stable counting passes, with no comparison
   // sort. Scattering the hits by worker, read task by task in rank order,
-  // fills each worker's row in open_tasks order (holding ranks for now);
-  // reading the worker side back in ascending worker order fills each task's
-  // row ascending.
+  // fills each worker's row of ranks in open_tasks order; reading the worker
+  // side back in ascending worker order fills each task's row ascending and
+  // each worker's row of task ids.
   for (const std::vector<int32_t>& workers : hits) {
     for (int32_t i : workers) ++sets.worker_begin[static_cast<size_t>(i) + 1];
   }
@@ -463,6 +478,7 @@ CandidateSets BuildCandidates(const BatchProblem& problem) {
   }
   sets.num_pairs = sets.worker_begin[n];
   sets.worker_tasks.resize(static_cast<size_t>(sets.num_pairs));
+  sets.worker_ranks.resize(static_cast<size_t>(sets.num_pairs));
   std::vector<int64_t> next(sets.worker_begin.begin(),
                             sets.worker_begin.end() - 1);
   for (size_t c = 0; c < num_chunks; ++c) {
@@ -471,9 +487,9 @@ CandidateSets BuildCandidates(const BatchProblem& problem) {
     const size_t end = std::min(num_open, (c + 1) * kQueryGrain);
     for (size_t r = c * kQueryGrain; r < end; ++r) {
       for (int64_t j = 0; j < count[r]; ++j, ++g) {
-        sets.worker_tasks[static_cast<size_t>(
+        sets.worker_ranks[static_cast<size_t>(
             next[static_cast<size_t>(workers[g])]++)] =
-            static_cast<TaskId>(r);
+            static_cast<int32_t>(r);
       }
     }
   }
@@ -492,11 +508,11 @@ CandidateSets BuildCandidates(const BatchProblem& problem) {
   for (size_t i = 0; i < n; ++i) {
     for (int64_t g = sets.worker_begin[i]; g < sets.worker_begin[i + 1];
          ++g) {
-      TaskId& task = sets.worker_tasks[static_cast<size_t>(g)];
-      const auto r = static_cast<size_t>(task);
+      const auto r = static_cast<size_t>(
+          sets.worker_ranks[static_cast<size_t>(g)]);
       sets.task_workers[static_cast<size_t>(cursor[r]++)] =
           static_cast<int32_t>(i);
-      task = problem.open_tasks[r];
+      sets.worker_tasks[static_cast<size_t>(g)] = problem.open_tasks[r];
     }
   }
   DASC_METRIC_COUNTER_ADD("candidates_pairs_total", sets.num_pairs);

@@ -75,7 +75,9 @@ struct BatchProblem {
   // (algo/greedy.cc) pass the previous batch's edges so per-set snapshot
   // rebuilds can be skipped for provably-unchanged inputs. Rows are compared
   // independently, so a prev from a different-shape problem simply marks
-  // everything changed. Requires Edges() built (builds it if not).
+  // everything changed. Only the two batches' open rows can be non-empty,
+  // so only those are compared; every other row is empty in both and marked
+  // unchanged. Requires Edges() built (builds it if not).
   void MarkEdgesUnchangedSince(const CandidateEdges& prev,
                                const std::vector<WorkerId>& prev_worker_ids)
       const;
@@ -92,10 +94,13 @@ struct BatchProblem {
 struct CandidateSets {
   // Worker side: the open tasks servable by problem.workers[i] are
   // worker_tasks[worker_begin[i], worker_begin[i + 1]), in problem.open_tasks
-  // order (ascending in Simulator, Service and Platform). worker_begin is
-  // sized problem.workers.size() + 1.
+  // order (ascending in Simulator, Service and Platform). worker_ranks holds
+  // the same pairs as ranks into problem.open_tasks (worker_tasks[g] ==
+  // open_tasks[worker_ranks[g]]), for consumers that keep batch-local task
+  // state. worker_begin is sized problem.workers.size() + 1.
   std::vector<int64_t> worker_begin;
   std::vector<TaskId> worker_tasks;
+  std::vector<int32_t> worker_ranks;
   // Task side, laid out like CandidateEdges::row_begin: the indices into
   // problem.workers that can serve global task t are
   // task_workers[task_begin[t], task_begin[t + 1]), ascending. task_begin is
@@ -106,6 +111,9 @@ struct CandidateSets {
 
   std::span<const TaskId> WorkerTasks(size_t i) const {
     return Row(worker_tasks, worker_begin, i);
+  }
+  std::span<const int32_t> WorkerRanks(size_t i) const {
+    return Row(worker_ranks, worker_begin, i);
   }
   std::span<const int32_t> TaskWorkers(TaskId t) const {
     return Row(task_workers, task_begin, static_cast<size_t>(t));
@@ -138,6 +146,8 @@ struct CandidateEdges {
   std::vector<int32_t> workers;     // per edge: index into problem.workers
   std::vector<double> travel_time;  // per edge: ServeDistance / velocity
   int num_workers = 0;              // column-space size (problem.workers)
+  // The batch's open tasks (problem.open_tasks): every other row is empty.
+  std::vector<TaskId> open_rows;
   // Batch-epoch dirty bits, filled by MarkEdgesUnchangedSince (empty until
   // then): row_unchanged[t] != 0 iff task t's edge list is identical to the
   // previous batch's, letting warm-start consumers skip snapshot compares.

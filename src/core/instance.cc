@@ -1,12 +1,34 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <cmath>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "graph/dag.h"
 #include "util/logging.h"
 
 namespace dasc::core {
+
+namespace {
+
+// The first numeric field outside the input domain, as "NaN <field>" or
+// "non-finite location.<axis>", or an empty string. Coordinates must be
+// finite: the candidate index files a location in a grid cell, and no cell
+// holds an infinite or NaN point.
+std::string DomainViolation(
+    const geo::Point& location,
+    std::initializer_list<std::pair<const char*, double>> fields) {
+  if (!std::isfinite(location.x)) return "non-finite location.x";
+  if (!std::isfinite(location.y)) return "non-finite location.y";
+  for (const auto& [name, value] : fields) {
+    if (std::isnan(value)) return std::string("NaN ") + name;
+  }
+  return {};
+}
+
+}  // namespace
 
 util::Result<Instance> Instance::Create(std::vector<Worker> workers,
                                         std::vector<Task> tasks,
@@ -20,6 +42,15 @@ util::Result<Instance> Instance::Create(std::vector<Worker> workers,
       return util::Status::InvalidArgument(
           "worker ids must be dense: worker at index " + std::to_string(i) +
           " has id " + std::to_string(w.id));
+    }
+    if (const std::string bad = DomainViolation(
+            w.location, {{"start_time", w.start_time},
+                         {"wait_time", w.wait_time},
+                         {"velocity", w.velocity},
+                         {"max_distance", w.max_distance}});
+        !bad.empty()) {
+      return util::Status::InvalidArgument(
+          "worker " + std::to_string(w.id) + " has a " + bad);
     }
     if (w.velocity <= 0.0) {
       return util::Status::InvalidArgument(
@@ -54,6 +85,13 @@ util::Result<Instance> Instance::Create(std::vector<Worker> workers,
       return util::Status::InvalidArgument(
           "task ids must be dense: task at index " + std::to_string(i) +
           " has id " + std::to_string(t.id));
+    }
+    if (const std::string bad = DomainViolation(
+            t.location, {{"start_time", t.start_time},
+                         {"wait_time", t.wait_time}});
+        !bad.empty()) {
+      return util::Status::InvalidArgument(
+          "task " + std::to_string(t.id) + " has a " + bad);
     }
     if (t.wait_time < 0.0) {
       return util::Status::InvalidArgument(
@@ -90,10 +128,30 @@ util::Result<Instance> Instance::Create(std::vector<Worker> workers,
   instance.workers_ = std::move(workers);
   instance.tasks_ = std::move(tasks);
   instance.num_skills_ = num_skills;
-  instance.closure_ = std::move(*closure);
-  instance.dependents_ = graph::Dag::Dependents(instance.closure_);
-  for (const auto& deps : instance.closure_) {
-    instance.total_closure_size_ += static_cast<int64_t>(deps.size());
+  // Flatten the closure, then fill the dependents CSR by a counting pass:
+  // reading closure rows in ascending task order keeps every dependents row
+  // ascending.
+  const size_t m = closure->size();
+  std::vector<int64_t>& begin = instance.closure_begin_;
+  std::vector<int64_t>& dep_begin = instance.dependents_begin_;
+  begin.assign(m + 1, 0);
+  dep_begin.assign(m + 1, 0);
+  for (size_t t = 0; t < m; ++t) {
+    const std::vector<TaskId>& deps = (*closure)[t];
+    begin[t + 1] = begin[t] + static_cast<int64_t>(deps.size());
+    instance.closure_items_.insert(instance.closure_items_.end(), deps.begin(),
+                                   deps.end());
+    for (TaskId f : deps) ++dep_begin[static_cast<size_t>(f) + 1];
+  }
+  instance.total_closure_size_ = begin[m];
+  for (size_t t = 0; t < m; ++t) dep_begin[t + 1] += dep_begin[t];
+  instance.dependents_items_.resize(instance.closure_items_.size());
+  std::vector<int64_t> next(dep_begin.begin(), dep_begin.end() - 1);
+  for (size_t t = 0; t < m; ++t) {
+    for (TaskId f : instance.DepClosure(static_cast<TaskId>(t))) {
+      instance.dependents_items_[static_cast<size_t>(
+          next[static_cast<size_t>(f)]++)] = static_cast<TaskId>(t);
+    }
   }
   return instance;
 }
@@ -110,16 +168,14 @@ const Task& Instance::task(TaskId id) const {
   return tasks_[static_cast<size_t>(id)];
 }
 
-const std::vector<TaskId>& Instance::DepClosure(TaskId t) const {
+std::span<const TaskId> Instance::Row(const std::vector<int64_t>& begin,
+                                      const std::vector<TaskId>& items,
+                                      TaskId t) const {
   DASC_CHECK_GE(t, 0);
   DASC_CHECK_LT(t, num_tasks());
-  return closure_[static_cast<size_t>(t)];
-}
-
-const std::vector<TaskId>& Instance::Dependents(TaskId t) const {
-  DASC_CHECK_GE(t, 0);
-  DASC_CHECK_LT(t, num_tasks());
-  return dependents_[static_cast<size_t>(t)];
+  const auto b = static_cast<size_t>(begin[static_cast<size_t>(t)]);
+  const auto e = static_cast<size_t>(begin[static_cast<size_t>(t) + 1]);
+  return std::span<const TaskId>(items).subspan(b, e - b);
 }
 
 }  // namespace dasc::core

@@ -40,10 +40,12 @@ CandidateSets ExhaustiveCandidates(const BatchProblem& problem) {
   CandidateSets sets;
   sets.worker_begin.push_back(0);
   for (size_t i = 0; i < problem.workers.size(); ++i) {
-    for (TaskId t : problem.open_tasks) {
+    for (size_t r = 0; r < problem.open_tasks.size(); ++r) {
+      const TaskId t = problem.open_tasks[r];
       if (CanServe(*problem.instance, problem.workers[i], t, problem.now,
                    problem.params)) {
         sets.worker_tasks.push_back(t);
+        sets.worker_ranks.push_back(static_cast<int32_t>(r));
         by_task[static_cast<size_t>(t)].push_back(static_cast<int32_t>(i));
       }
     }
@@ -80,6 +82,7 @@ int64_t ExpectMatchesExhaustive(const BatchProblem& problem) {
     EXPECT_EQ(got.num_pairs, want.num_pairs) << "threads " << threads;
     EXPECT_EQ(got.worker_begin, want.worker_begin) << "threads " << threads;
     EXPECT_EQ(got.worker_tasks, want.worker_tasks) << "threads " << threads;
+    EXPECT_EQ(got.worker_ranks, want.worker_ranks) << "threads " << threads;
     EXPECT_EQ(got.task_begin, want.task_begin) << "threads " << threads;
     EXPECT_EQ(got.task_workers, want.task_workers) << "threads " << threads;
   }

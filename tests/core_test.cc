@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "core/assignment.h"
 #include "core/batch.h"
 #include "core/feasibility.h"
 #include "core/instance.h"
+#include "graph/dag.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -96,10 +99,14 @@ TEST(InstanceTest, CanonicalizesSkills) {
 
 TEST(InstanceTest, ComputesClosureAndDependents) {
   const Instance instance = Example1();
-  EXPECT_EQ(instance.DepClosure(2), (std::vector<TaskId>{0, 1}));
-  EXPECT_EQ(instance.DepClosure(4), (std::vector<TaskId>{3}));
-  EXPECT_EQ(instance.Dependents(0), (std::vector<TaskId>{1, 2}));
-  EXPECT_EQ(instance.Dependents(3), (std::vector<TaskId>{4}));
+  EXPECT_EQ(testing::RowOf(instance.DepClosure(2)),
+            (std::vector<TaskId>{0, 1}));
+  EXPECT_EQ(testing::RowOf(instance.DepClosure(4)),
+            (std::vector<TaskId>{3}));
+  EXPECT_EQ(testing::RowOf(instance.Dependents(0)),
+            (std::vector<TaskId>{1, 2}));
+  EXPECT_EQ(testing::RowOf(instance.Dependents(3)),
+            (std::vector<TaskId>{4}));
   EXPECT_EQ(instance.total_closure_size(), 4);
 }
 
@@ -109,7 +116,131 @@ TEST(InstanceTest, ClosureExpandsIndirectDeps) {
       {}, {MakeTask(0, 0, 0, 0), MakeTask(1, 0, 0, 0, {0}),
            MakeTask(2, 0, 0, 0, {1})}, 1);
   ASSERT_TRUE(instance.ok());
-  EXPECT_EQ(instance->DepClosure(2), (std::vector<TaskId>{0, 1}));
+  EXPECT_EQ(testing::RowOf(instance->DepClosure(2)),
+            (std::vector<TaskId>{0, 1}));
+}
+
+// The flat closure and dependents CSRs equal graph::Dag's vector-of-vectors
+// closure and its reverse, row for row, on the fixtures: Example 1, random
+// DAGs, a deep chain and stacked diamonds.
+TEST(InstanceTest, FlatClosureMatchesDag) {
+  std::vector<Instance> fixtures;
+  fixtures.push_back(Example1());
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    fixtures.push_back(testing::RandomInstance(
+        seed, {.num_tasks = 40, .max_direct_deps = 4}));
+  }
+  std::vector<Task> chain;
+  std::vector<Task> diamonds;
+  for (TaskId t = 0; t < 30; ++t) {
+    chain.push_back(MakeTask(t, 0, 0, 0, t == 0 ? std::vector<TaskId>{}
+                                                : std::vector<TaskId>{t - 1}));
+    // Motifs of four: a source, two middles on it, a sink on both middles
+    // and on the previous motif's sink.
+    std::vector<TaskId> deps;
+    switch (t % 4) {
+      case 0: if (t > 0) deps = {t - 1}; break;
+      case 1: case 2: deps = {t - (t % 4)}; break;
+      default: deps = {t - 2, t - 1}; break;
+    }
+    diamonds.push_back(MakeTask(t, 0, 0, 0, deps));
+  }
+  for (auto* tasks : {&chain, &diamonds}) {
+    auto instance = Instance::Create({}, *tasks, 1);
+    ASSERT_TRUE(instance.ok());
+    fixtures.push_back(std::move(*instance));
+  }
+  for (const Instance& instance : fixtures) {
+    graph::Dag dag(instance.num_tasks());
+    for (const Task& task : instance.tasks()) {
+      for (TaskId d : task.dependencies) dag.AddDependency(task.id, d);
+    }
+    auto closure = dag.TransitiveClosure();
+    ASSERT_TRUE(closure.ok());
+    const auto dependents = graph::Dag::Dependents(*closure);
+    int64_t total = 0;
+    for (TaskId t = 0; t < instance.num_tasks(); ++t) {
+      const auto row = static_cast<size_t>(t);
+      EXPECT_EQ(testing::RowOf(instance.DepClosure(t)), (*closure)[row]);
+      EXPECT_EQ(testing::RowOf(instance.Dependents(t)), dependents[row]);
+      total += static_cast<int64_t>((*closure)[row].size());
+    }
+    EXPECT_EQ(instance.total_closure_size(), total);
+  }
+}
+
+// Input domain: NaN in any numeric field, and a non-finite coordinate, are
+// rejected by name. Seen before the rule: a NaN worker location made
+// CanServe accept every in-window task for that worker (`!(NaN > budget)`),
+// while the candidate index, filing NaN in cell 0, found only a few.
+TEST(InstanceTest, RejectsNaNWorkerLocationOnADiagonal) {
+  std::vector<Worker> workers = {MakeWorker(0, 0.5, 0.5, {0}, 0.0, 1e6, 1e3,
+                                            0.1),
+                                 MakeWorker(1, 0.5, 0.5, {0}, 0.0, 1e6, 1e3,
+                                            0.1)};
+  std::vector<Task> tasks;
+  for (TaskId t = 0; t < 100; ++t) {
+    tasks.push_back(MakeTask(t, 0.01 * t, 0.01 * t, 0));
+  }
+  ASSERT_TRUE(Instance::Create(workers, tasks, 1).ok());
+  workers[1].location.x = std::numeric_limits<double>::quiet_NaN();
+  const auto instance = Instance::Create(workers, tasks, 1);
+  ASSERT_FALSE(instance.ok());
+  EXPECT_EQ(instance.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(instance.status().message().find("worker 1"), std::string::npos)
+      << instance.status().ToString();
+  EXPECT_NE(instance.status().message().find("location.x"),
+            std::string::npos)
+      << instance.status().ToString();
+}
+
+TEST(InstanceTest, RejectsNaNInEveryFieldAndNonFiniteCoordinates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    double value;
+    bool on_task;
+  };
+  const std::vector<Case> cases = {
+      {"location.x", nan, false},  {"location.y", nan, false},
+      {"location.x", inf, false},  {"location.y", -inf, false},
+      {"start_time", nan, false},  {"wait_time", nan, false},
+      {"velocity", nan, false},    {"max_distance", nan, false},
+      {"location.x", nan, true},   {"location.y", -inf, true},
+      {"start_time", nan, true},   {"wait_time", nan, true}};
+  for (const Case& c : cases) {
+    Worker w = MakeWorker(0, 0, 0, {0});
+    Task t = MakeTask(0, 0, 0, 0);
+    const std::string field = c.field;
+    geo::Point& location = c.on_task ? t.location : w.location;
+    if (field == "location.x") location.x = c.value;
+    if (field == "location.y") location.y = c.value;
+    if (field == "start_time") (c.on_task ? t.start_time : w.start_time) = c.value;
+    if (field == "wait_time") (c.on_task ? t.wait_time : w.wait_time) = c.value;
+    if (field == "velocity") w.velocity = c.value;
+    if (field == "max_distance") w.max_distance = c.value;
+    const auto instance = Instance::Create({w}, {t}, 1);
+    ASSERT_FALSE(instance.ok()) << field;
+    EXPECT_EQ(instance.status().code(), util::StatusCode::kInvalidArgument);
+    const std::string& message = instance.status().message();
+    EXPECT_NE(message.find(c.on_task ? "task 0" : "worker 0"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(field), std::string::npos) << message;
+  }
+}
+
+TEST(InstanceTest, InfiniteReachWaitAndVelocityStayLegal) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto instance = Instance::Create(
+      {MakeWorker(0, 0, 0, {0}, 0.0, inf, inf, inf),
+       MakeWorker(1, 0, 0, {0}, -inf, 1.0)},
+      {MakeTask(0, 1, 1, 0, {}, 0.0, inf), MakeTask(1, 1, 1, 0, {}, -inf)},
+      1);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  EXPECT_TRUE(CanServe(*instance, WorkerState::Initial(instance->worker(0)),
+                       0, 0.0, FeasibilityParams{}));
 }
 
 // ----------------------------------------------------------- Feasibility ---

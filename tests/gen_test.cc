@@ -6,6 +6,7 @@
 
 #include "gen/meetup.h"
 #include "gen/synthetic.h"
+#include "test_util.h"
 
 namespace dasc::gen {
 namespace {
@@ -98,7 +99,8 @@ TEST(SyntheticTest, DependenciesPointBackwardsAndAreClosed) {
     }
     // The generator stores transitively closed sets: the stored direct list
     // equals the instance's computed closure.
-    EXPECT_EQ(t.dependencies, instance->DepClosure(t.id));
+    EXPECT_EQ(t.dependencies,
+              testing::RowOf(instance->DepClosure(t.id)));
   }
 }
 
@@ -210,7 +212,8 @@ TEST(MeetupTest, DependenciesStayWithinTaskGroupAndAreClosed) {
   int with_deps = 0;
   for (const auto& t : instance->tasks()) {
     for (core::TaskId d : t.dependencies) EXPECT_LT(d, t.id);
-    EXPECT_EQ(t.dependencies, instance->DepClosure(t.id));
+    EXPECT_EQ(t.dependencies,
+              testing::RowOf(instance->DepClosure(t.id)));
     if (!t.dependencies.empty()) ++with_deps;
   }
   EXPECT_GT(with_deps, 0);

@@ -8,6 +8,7 @@
 // phase under the race detector.
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -320,6 +321,93 @@ TEST(EdgeEpochTest, ChangedTravelTimeOrRowLengthIsChanged) {
   problem.MarkEdgesUnchangedSince(other_catalog, ids);
   ASSERT_EQ(cur.row_unchanged.size(), cur.row_begin.size() - 1);
   for (uint8_t bit : cur.row_unchanged) EXPECT_EQ(bit, 0);
+}
+
+// The bits as the compare over every catalog row sets them: a row is
+// unchanged iff it has the previous row's length, worker ids and travel
+// times (so two empty rows are unchanged), and a previous batch over a
+// different catalog size matches no row.
+std::vector<uint8_t> FullWalkUnchanged(
+    const core::BatchProblem& problem, const core::CandidateEdges& prev,
+    const std::vector<core::WorkerId>& prev_ids) {
+  const core::CandidateEdges& cur = problem.Edges();
+  const size_t num_tasks = cur.row_begin.size() - 1;
+  std::vector<uint8_t> unchanged(num_tasks, 0);
+  if (prev.row_begin.size() != cur.row_begin.size()) return unchanged;
+  for (size_t t = 0; t < num_tasks; ++t) {
+    const int64_t b = cur.row_begin[t], e = cur.row_begin[t + 1];
+    const int64_t pb = prev.row_begin[t], pe = prev.row_begin[t + 1];
+    bool same = e - b == pe - pb;
+    for (int64_t k = 0; same && k < e - b; ++k) {
+      const auto ci = static_cast<size_t>(b + k);
+      const auto pi = static_cast<size_t>(pb + k);
+      same = problem.workers[static_cast<size_t>(cur.workers[ci])].id ==
+                 prev_ids[static_cast<size_t>(prev.workers[pi])] &&
+             cur.travel_time[ci] == prev.travel_time[pi];
+    }
+    unchanged[t] = same ? 1 : 0;
+  }
+  return unchanged;
+}
+
+// Comparing only the two batches' open rows sets every bit the full walk
+// sets, over batch sequences where tasks open, stay open (with the same or
+// a shifted worker pool) and close, and where a batch repeats the previous.
+TEST(EdgeEpochTest, OpenRowCompareMatchesTheFullWalk) {
+  testing::GenParams params;
+  params.num_workers = {10, 16};
+  params.num_tasks = {30, 40};
+  params.tightness = 0.2;
+  int unchanged_open = 0, changed = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const core::Instance instance =
+        testing::GenerateCase(testing::Family::kUniform, params, seed);
+    util::Rng rng(seed);
+    std::vector<uint8_t> open(static_cast<size_t>(instance.num_tasks()), 0);
+    std::vector<uint8_t> idle(static_cast<size_t>(instance.num_workers()), 1);
+    std::unique_ptr<core::BatchProblem> prev;
+    for (int b = 0; b < 8; ++b) {
+      if (b % 4 != 3) {  // every fourth batch repeats the previous one
+        for (uint8_t& o : open) {
+          if (rng.Bernoulli(0.3)) o = o != 0 ? 0 : 1;
+        }
+        for (uint8_t& w : idle) {
+          if (rng.Bernoulli(0.15)) w = w != 0 ? 0 : 1;
+        }
+      }
+      auto cur = std::make_unique<core::BatchProblem>(
+          core::BatchProblem::AllAt(instance, 0.0));
+      cur->open_tasks.clear();
+      for (core::TaskId t = 0; t < instance.num_tasks(); ++t) {
+        if (open[static_cast<size_t>(t)] != 0) cur->open_tasks.push_back(t);
+      }
+      cur->workers.clear();
+      for (const core::Worker& w : instance.workers()) {
+        if (idle[static_cast<size_t>(w.id)] != 0) {
+          cur->workers.push_back(core::WorkerState::Initial(w));
+        }
+      }
+      if (prev != nullptr) {
+        const std::vector<core::WorkerId> prev_ids = WorkerIds(*prev);
+        const std::vector<uint8_t> want =
+            FullWalkUnchanged(*cur, prev->Edges(), prev_ids);
+        cur->MarkEdgesUnchangedSince(prev->Edges(), prev_ids);
+        const core::CandidateEdges& edges = cur->Edges();
+        EXPECT_EQ(edges.row_unchanged, want)
+            << "seed " << seed << " batch " << b;
+        for (core::TaskId t : cur->open_tasks) {
+          const bool empty = edges.row_begin[static_cast<size_t>(t) + 1] ==
+                             edges.row_begin[static_cast<size_t>(t)];
+          if (!empty && want[static_cast<size_t>(t)] != 0) ++unchanged_open;
+        }
+        for (uint8_t bit : want) changed += bit == 0 ? 1 : 0;
+      }
+      prev = std::move(cur);
+    }
+  }
+  // Both outcomes occur on non-trivial rows.
+  EXPECT_GT(unchanged_open, 0);
+  EXPECT_GT(changed, 0);
 }
 
 // Greedy stamps the bits itself against the edges of its previous
